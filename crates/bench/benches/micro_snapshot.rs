@@ -180,9 +180,10 @@ fn bench_record_diff(c: &mut Criterion) {
     group.finish();
 }
 
-/// The capture pipeline itself: a cold full build, a pure cache hit, and
-/// a partial rebuild where one (dialog) window is dirty and the big main
-/// window is copied from the previous capture.
+/// The capture pipeline itself: a cold full build, a pure cache hit, a
+/// partial rebuild where one (dialog) window is dirty and the big main
+/// window is copied from the previous capture, and a dirty re-walk of a
+/// big main window.
 fn bench_snapshot_capture(c: &mut Criterion) {
     let mut group = c.benchmark_group("snap");
     group.bench_function("cold", |b| {
@@ -212,6 +213,28 @@ fn bench_snapshot_capture(c: &mut Criterion) {
         b.iter(|| {
             tick += 1;
             s.set_value(find_edit, if tick.is_multiple_of(2) { "alpha" } else { "beta" }).unwrap();
+            black_box(s.snapshot().len())
+        })
+    });
+    // The capture walk that dominates full-app rips: one dirty rebuild of
+    // full Excel's main window (~3.1k nodes) with a ribbon popup open. A
+    // main-window widget write per iteration moves the window's stamp, so
+    // every capture misses the cache and re-walks the whole window.
+    group.bench_function("rebuild_excel_main", |b| {
+        let mut s = Session::new(AppKind::Excel.launch());
+        let tree = s.app().tree();
+        let fill = tree
+            .iter()
+            .find(|(i, w)| w.name == "Fill Color" && w.popup && tree.is_shown(*i))
+            .map(|(i, _)| i)
+            .expect("Fill Color popup");
+        s.click(fill).unwrap();
+        let bar = s.app().tree().find_by_name("Formula Bar").expect("formula bar");
+        let mut tick = 0u64;
+        b.iter(|| {
+            tick += 1;
+            let value = if tick.is_multiple_of(2) { "=1" } else { "=2" };
+            s.app_mut().tree_mut().widget_mut(bar).value = value.into();
             black_box(s.snapshot().len())
         })
     });

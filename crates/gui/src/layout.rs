@@ -12,18 +12,20 @@
 //! viewport window determined by `scroll_pos`; the rest are marked
 //! off-screen (they stay in the accessibility tree, like real UIA).
 //!
-//! Rows are computed *per window* ([`compute_window`]) and shared through
-//! [`Arc`]s: a [`LayoutCache`] keyed by the window's capture key (root,
-//! stack position, [`UiTree::window_stamp`], popup chain, context epoch)
-//! hands the same row set back until something inside the window actually
-//! moves, so consecutive hit tests and snapshot rebuilds stop paying
-//! O(arena) per query (see `crate::snapshot` for the capture pipeline).
+//! There is one way to lay a window out: [`walk`], a single depth-first
+//! pass that visits every shown widget of the window exactly once, in
+//! document order, and yields its [`Row`] — rect, off-screen flag and
+//! depth — as it goes. Visibility is decided locally (the walk only
+//! descends from shown parents, so `UiTree::shows_itself` plus the
+//! parent's `UiTree::reveals_children` equals the recursive
+//! [`UiTree::is_shown`]), and no per-widget map is built. The snapshot
+//! builder emits nodes straight from the walk, and hit testing keeps the
+//! deepest row under the pointer (see `crate::snapshot` and
+//! `Session::hit_test`).
 
 use crate::tree::UiTree;
 use crate::widget::WidgetId;
-use dmi_uia::Rect;
-use std::collections::HashMap;
-use std::sync::Arc;
+use dmi_uia::{ControlType, Rect};
 
 /// Virtual screen size.
 pub const SCREEN_W: i32 = 1280;
@@ -35,77 +37,6 @@ pub const ROW_H: i32 = 22;
 pub const DIALOG_W: i32 = 640;
 /// Dialog height.
 pub const DIALOG_H: i32 = 480;
-
-/// The rows of one open window: rectangle and off-screen flag per shown
-/// widget under that window's root (root included).
-///
-/// A window's rows depend only on its stack position (the window rect
-/// cascade) and its own subtree — never on other windows — so they are
-/// shared via [`Arc`] between a [`Layout`] and the [`LayoutCache`], and
-/// reused wholesale while the window's capture key is unchanged.
-#[derive(Debug, Clone, Default)]
-pub struct WindowLayout {
-    entries: HashMap<WidgetId, (Rect, bool)>,
-}
-
-impl WindowLayout {
-    /// The rect assigned to a widget, if it was laid out in this window.
-    pub fn rect(&self, id: WidgetId) -> Option<Rect> {
-        self.entries.get(&id).map(|(r, _)| *r)
-    }
-
-    /// Whether the widget was laid out here but is off-screen.
-    pub fn offscreen(&self, id: WidgetId) -> bool {
-        self.entries.get(&id).map(|(_, o)| *o).unwrap_or(false)
-    }
-
-    /// Number of laid-out widgets in this window.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the window laid out nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// Layout result: one [`WindowLayout`] per open window, bottom to top.
-///
-/// Widgets belong to exactly one arena root, so the per-window maps are
-/// disjoint and lookups simply probe each window in turn (there are at
-/// most a handful of open windows).
-#[derive(Debug, Clone, Default)]
-pub struct Layout {
-    windows: Vec<Arc<WindowLayout>>,
-}
-
-impl Layout {
-    /// The rect assigned to a widget, if it was laid out.
-    pub fn rect(&self, id: WidgetId) -> Option<Rect> {
-        self.windows.iter().find_map(|w| w.rect(id))
-    }
-
-    /// Whether the widget was laid out but is off-screen.
-    pub fn offscreen(&self, id: WidgetId) -> bool {
-        self.windows.iter().any(|w| w.offscreen(id))
-    }
-
-    /// Number of laid-out widgets.
-    pub fn len(&self) -> usize {
-        self.windows.iter().map(|w| w.len()).sum()
-    }
-
-    /// Whether nothing was laid out.
-    pub fn is_empty(&self) -> bool {
-        self.windows.iter().all(|w| w.is_empty())
-    }
-
-    /// The per-window layouts, bottom to top.
-    pub fn windows(&self) -> &[Arc<WindowLayout>] {
-        &self.windows
-    }
-}
 
 /// The window rectangle for the `i`-th open window (0 = main).
 pub fn window_rect(i: usize) -> Rect {
@@ -122,134 +53,129 @@ pub fn window_rect(i: usize) -> Rect {
     }
 }
 
-/// Computes the rows of the window rooted at `root` sitting at stack
-/// position `wi`.
-pub fn compute_window(tree: &UiTree, root: WidgetId, wi: usize) -> WindowLayout {
-    let mut wl = WindowLayout::default();
-    let wrect = window_rect(wi);
-    wl.entries.insert(root, (wrect, false));
-    let mut row = 1i32; // row 0 is the window chrome
-    place_children(tree, root, wrect, &mut row, 1, &mut wl, false);
-    wl
+/// One laid-out widget, as yielded by [`walk`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row {
+    /// The widget.
+    pub id: WidgetId,
+    /// Its bounding rectangle (empty when off-screen, except scrollbars).
+    pub rect: Rect,
+    /// Whether it sits outside a scroll viewport (or under a row that
+    /// does).
+    pub offscreen: bool,
+    /// Depth below the window root (the root is 0).
+    pub depth: usize,
 }
 
-/// Computes the layout for every widget shown in an open window.
-pub fn compute(tree: &UiTree) -> Layout {
-    Layout {
-        windows: tree
-            .open_windows()
-            .iter()
-            .enumerate()
-            .map(|(wi, win)| Arc::new(compute_window(tree, win.root, wi)))
-            .collect(),
+/// Walks the window rooted at `root` sitting at stack position `wi`,
+/// yielding a [`Row`] for every shown widget in document (pre-)order.
+/// Yields nothing when the root itself is not shown.
+pub fn walk(tree: &UiTree, root: WidgetId, wi: usize) -> Walk<'_> {
+    Walk {
+        tree,
+        wrect: window_rect(wi),
+        row: 1, // row 0 is the window chrome
+        root: tree.is_shown(root).then_some(root),
+        stack: Vec::new(),
     }
 }
 
-/// Reuses per-window rows across consecutive layouts while a window's
-/// capture key — root, stack position, [`UiTree::window_stamp`], the popup
-/// chain under the root, and the context epoch — is unchanged. One cache
-/// serves both the input paths (hit testing, drags, wheel) and the
-/// snapshot builder's dirty-window rebuilds.
-#[derive(Debug, Default)]
-pub struct LayoutCache {
-    slots: Vec<Option<LayoutSlot>>,
-    context_epoch: u64,
+/// The row of a shown widget, found by walking its open window (`None`
+/// when the widget is not shown).
+pub(crate) fn row_of(tree: &UiTree, id: WidgetId) -> Option<Row> {
+    let root = tree.window_root_of(id)?;
+    let wi = tree.open_windows().iter().position(|w| w.root == root)?;
+    walk(tree, root, wi).find(|r| r.id == id)
 }
 
+/// The iterator behind [`walk`]: an explicit DFS stack of per-parent
+/// frames, carrying the row counter through the whole window.
 #[derive(Debug)]
-struct LayoutSlot {
-    root: WidgetId,
-    stamp: u64,
-    popups: Vec<WidgetId>,
-    rows: Arc<WindowLayout>,
-}
-
-impl LayoutCache {
-    /// Drops every cached row set (restart, lineage change).
-    pub fn clear(&mut self) {
-        self.slots.clear();
-    }
-
-    /// The rows of the window rooted at `root` at stack position `wi`,
-    /// reused from the cache when the window's key is unchanged.
-    pub fn window(&mut self, tree: &UiTree, root: WidgetId, wi: usize) -> Arc<WindowLayout> {
-        if self.context_epoch != tree.context_epoch() {
-            self.slots.clear();
-            self.context_epoch = tree.context_epoch();
-        }
-        let stamp = tree.window_stamp(root);
-        let popups = tree.popups_under(root);
-        if let Some(Some(slot)) = self.slots.get(wi) {
-            if slot.root == root && slot.stamp == stamp && slot.popups == popups {
-                return Arc::clone(&slot.rows);
-            }
-        }
-        let rows = Arc::new(compute_window(tree, root, wi));
-        if self.slots.len() <= wi {
-            self.slots.resize_with(wi + 1, || None);
-        }
-        self.slots[wi] = Some(LayoutSlot { root, stamp, popups, rows: Arc::clone(&rows) });
-        rows
-    }
-
-    /// Computes the full layout, reusing unchanged windows.
-    pub fn compute(&mut self, tree: &UiTree) -> Layout {
-        let windows = tree
-            .open_windows()
-            .iter()
-            .enumerate()
-            .map(|(wi, win)| self.window(tree, win.root, wi))
-            .collect();
-        self.slots.truncate(tree.open_windows().len());
-        Layout { windows }
-    }
-}
-
-/// Recursively places the shown children of `parent`.
-#[allow(clippy::too_many_arguments)]
-fn place_children(
-    tree: &UiTree,
-    parent: WidgetId,
+pub struct Walk<'a> {
+    tree: &'a UiTree,
     wrect: Rect,
-    row: &mut i32,
-    depth: i32,
-    layout: &mut WindowLayout,
+    row: i32,
+    /// The root, until it is yielded.
+    root: Option<WidgetId>,
+    stack: Vec<Frame<'a>>,
+}
+
+/// The children of one shown parent still to be visited.
+#[derive(Debug)]
+struct Frame<'a> {
+    kids: std::slice::Iter<'a, WidgetId>,
+    /// Shown children yielded so far (the viewport index of the next).
+    shown: usize,
+    /// `(start, rows)` of the viewport of a scrollable parent.
+    viewport: Option<(usize, usize)>,
+    /// Whether the parent is off-screen (its whole subtree is).
     forced_off: bool,
-) {
-    let pw = tree.widget(parent);
-    let kids: Vec<WidgetId> = pw.children.iter().copied().filter(|&c| tree.is_shown(c)).collect();
+    /// Depth of the children.
+    depth: usize,
+}
 
-    // Viewport window for scrollable containers.
-    let viewport: Option<(usize, usize)> = if pw.scrollable && !kids.is_empty() {
-        let rows = pw.viewport_rows.min(kids.len());
-        let max_start = kids.len() - rows;
-        let start = ((pw.scroll_pos / 100.0) * max_start as f64).round() as usize;
-        Some((start.min(max_start), rows))
-    } else {
-        None
-    };
-
-    for (i, &c) in kids.iter().enumerate() {
-        let cw = tree.widget(c);
-        let in_viewport = match viewport {
-            Some((start, rows)) => i >= start && i < start + rows,
-            None => true,
-        };
-        let off = forced_off || !in_viewport;
-
-        let rect = if cw.control_type == dmi_uia::ControlType::ScrollBar {
-            // Scrollbars hug the right edge of their window, full height.
-            Rect::new(wrect.x + wrect.w - 18, wrect.y, 18, wrect.h)
-        } else if off {
-            Rect::new(0, 0, 0, 0)
+impl<'a> Walk<'a> {
+    /// Pushes the frame for the children of the shown widget `parent`
+    /// (none when it reveals no children).
+    fn descend(&mut self, parent: WidgetId, depth: usize, forced_off: bool) {
+        let pw = self.tree.widget(parent);
+        if pw.children.is_empty() || !self.tree.reveals_children(parent) {
+            return;
+        }
+        // Viewport window for scrollable containers.
+        let viewport = if pw.scrollable {
+            let n = pw.children.iter().filter(|&&c| self.tree.shows_itself(c)).count();
+            (n > 0).then(|| {
+                let rows = pw.viewport_rows.min(n);
+                let max_start = n - rows;
+                let start = ((pw.scroll_pos / 100.0) * max_start as f64).round() as usize;
+                (start.min(max_start), rows)
+            })
         } else {
-            let y = wrect.y + (*row % ((wrect.h / ROW_H).max(1))) * ROW_H;
-            let x = wrect.x + depth * 8;
-            *row += 1;
-            Rect::new(x, y, (wrect.w - depth * 16).max(40), ROW_H - 2)
+            None
         };
-        layout.entries.insert(c, (rect, off));
-        place_children(tree, c, wrect, row, depth + 1, layout, off);
+        self.stack.push(Frame { kids: pw.children.iter(), shown: 0, viewport, forced_off, depth });
+    }
+}
+
+impl Iterator for Walk<'_> {
+    type Item = Row;
+
+    fn next(&mut self) -> Option<Row> {
+        if let Some(root) = self.root.take() {
+            self.descend(root, 1, false);
+            return Some(Row { id: root, rect: self.wrect, offscreen: false, depth: 0 });
+        }
+        loop {
+            let frame = self.stack.last_mut()?;
+            let Some(&c) = frame.kids.next() else {
+                self.stack.pop();
+                continue;
+            };
+            if !self.tree.shows_itself(c) {
+                continue;
+            }
+            let i = frame.shown;
+            frame.shown += 1;
+            let in_viewport =
+                frame.viewport.is_none_or(|(start, rows)| i >= start && i < start + rows);
+            let off = frame.forced_off || !in_viewport;
+            let depth = frame.depth;
+            let wrect = self.wrect;
+            let rect = if self.tree.widget(c).control_type == ControlType::ScrollBar {
+                // Scrollbars hug the right edge of their window, full height.
+                Rect::new(wrect.x + wrect.w - 18, wrect.y, 18, wrect.h)
+            } else if off {
+                Rect::new(0, 0, 0, 0)
+            } else {
+                let d = depth as i32;
+                let y = wrect.y + (self.row % ((wrect.h / ROW_H).max(1))) * ROW_H;
+                self.row += 1;
+                Rect::new(wrect.x + d * 8, y, (wrect.w - d * 16).max(40), ROW_H - 2)
+            };
+            self.descend(c, depth + 1, off);
+            return Some(Row { id: c, rect, offscreen: off, depth });
+        }
     }
 }
 
@@ -267,6 +193,17 @@ mod tests {
     use super::*;
     use crate::widget::{Widget, WidgetBuilder};
     use dmi_uia::ControlType as CT;
+    use std::collections::HashMap;
+
+    /// Every open window's rows, keyed by widget.
+    fn rows(t: &UiTree) -> HashMap<WidgetId, Row> {
+        t.open_windows()
+            .iter()
+            .enumerate()
+            .flat_map(|(wi, w)| walk(t, w.root, wi))
+            .map(|r| (r.id, r))
+            .collect()
+    }
 
     #[test]
     fn window_rects_cascade() {
@@ -283,10 +220,24 @@ mod tests {
         let a = t.add(main, Widget::new("A", CT::Button));
         let menu = t.add(main, WidgetBuilder::new("M", CT::Menu).popup().build());
         let hidden = t.add(menu, Widget::new("H", CT::MenuItem));
-        let l = compute(&t);
-        assert!(l.rect(a).is_some());
-        assert!(l.rect(hidden).is_none());
-        assert!(l.rect(main).is_some());
+        let l = rows(&t);
+        assert!(l.contains_key(&a));
+        assert!(!l.contains_key(&hidden));
+        assert_eq!(l[&main].rect, window_rect(0));
+        assert_eq!(row_of(&t, a), Some(l[&a]));
+        assert_eq!(row_of(&t, hidden), None);
+    }
+
+    #[test]
+    fn walk_is_document_order_with_depths() {
+        let mut t = UiTree::new();
+        let main = t.add_root(Widget::new("Main", CT::Window));
+        let g = t.add(main, Widget::new("G", CT::Group));
+        let a = t.add(g, Widget::new("A", CT::Button));
+        let b = t.add(main, Widget::new("B", CT::Button));
+        let got: Vec<(WidgetId, usize)> = walk(&t, main, 0).map(|r| (r.id, r.depth)).collect();
+        assert_eq!(got, vec![(main, 0), (g, 1), (a, 2), (b, 1)]);
+        assert_eq!(got.len(), t.descendants(main).iter().filter(|&&i| t.is_shown(i)).count());
     }
 
     #[test]
@@ -296,17 +247,17 @@ mod tests {
         let doc = t.add(main, WidgetBuilder::new("Doc", CT::Document).scrollable(3).build());
         let items: Vec<WidgetId> =
             (0..10).map(|i| t.add(doc, Widget::new(format!("P{i}"), CT::Text))).collect();
-        let l = compute(&t);
-        assert!(!l.offscreen(items[0]));
-        assert!(!l.offscreen(items[2]));
-        assert!(l.offscreen(items[5]));
-        assert!(l.offscreen(items[9]));
+        let l = rows(&t);
+        assert!(!l[&items[0]].offscreen);
+        assert!(!l[&items[2]].offscreen);
+        assert!(l[&items[5]].offscreen);
+        assert!(l[&items[9]].offscreen);
 
         // Scroll to the end: last items become visible, first off-screen.
         t.widget_mut(doc).scroll_pos = 100.0;
-        let l = compute(&t);
-        assert!(l.offscreen(items[0]));
-        assert!(!l.offscreen(items[9]));
+        let l = rows(&t);
+        assert!(l[&items[0]].offscreen);
+        assert!(!l[&items[9]].offscreen);
     }
 
     #[test]
@@ -316,8 +267,7 @@ mod tests {
         let doc = t.add(main, WidgetBuilder::new("Doc", CT::Document).scrollable(3).build());
         let sb =
             t.add(main, WidgetBuilder::new("Vertical", CT::ScrollBar).scroll_target(doc).build());
-        let l = compute(&t);
-        let r = l.rect(sb).unwrap();
+        let r = rows(&t)[&sb].rect;
         assert_eq!(r.x, SCREEN_W - 18);
         assert_eq!(r.h, SCREEN_H);
         assert!((scrollbar_percent(r, r.y) - 0.0).abs() < 1e-9);
@@ -333,9 +283,9 @@ mod tests {
         let p0 = t.add(doc, Widget::new("P0", CT::Text));
         let p1 = t.add(doc, Widget::new("P1", CT::Text));
         let run = t.add(p1, Widget::new("Run", CT::Text));
-        let l = compute(&t);
-        assert!(!l.offscreen(p0));
-        assert!(l.offscreen(p1));
-        assert!(l.offscreen(run));
+        let l = rows(&t);
+        assert!(!l[&p0].offscreen);
+        assert!(l[&p1].offscreen);
+        assert!(l[&run].offscreen);
     }
 }

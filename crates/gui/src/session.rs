@@ -196,7 +196,7 @@ pub struct Session {
     events: EventLog,
     /// Capture pipeline configuration.
     capture_cfg: CaptureConfig,
-    /// Recent captures + per-window layout rows (see [`CaptureCache`]).
+    /// Recent captures (see [`CaptureCache`]).
     cache: CaptureCache,
     /// Cache-effectiveness counters.
     capture_stats: CaptureStats,
@@ -725,16 +725,6 @@ impl Session {
             .then_some(m.token)
     }
 
-    /// The current layout, served from the per-window layout cache when
-    /// enabled (input paths: hit testing, drags, wheel).
-    fn layout(&mut self) -> layout::Layout {
-        if self.capture_cfg.cached {
-            self.cache.layout(self.app.tree())
-        } else {
-            layout::compute(self.app.tree())
-        }
-    }
-
     /// Maps a snapshot runtime id to the provider widget.
     pub fn widget_of(&self, rt: dmi_uia::RuntimeId) -> WidgetId {
         snapshot::widget_of(rt)
@@ -841,8 +831,7 @@ impl Session {
 
     /// Clicks at screen coordinates (hit-tests the current layout).
     pub fn click_at(&mut self, x: i32, y: i32) -> Result<(), AppError> {
-        let lay = self.layout();
-        let target = self.hit_test(&lay, x, y);
+        let target = self.hit_test(x, y);
         match target {
             Some(id) => self.click(id),
             None => {
@@ -860,8 +849,7 @@ impl Session {
         if self.trapped {
             return Err(AppError::NotInteractable { reason: "UI trapped".into() });
         }
-        let lay = self.layout();
-        let Some(hit) = self.hit_test(&lay, from.0, from.1) else {
+        let Some(hit) = self.hit_test(from.0, from.1) else {
             return Err(AppError::NotInteractable { reason: "drag source empty".into() });
         };
         // Walk up to the nearest draggable ancestor (a drag that starts on
@@ -883,10 +871,11 @@ impl Session {
                 }
             }
         }
-        let w = self.app.tree().widget(src);
+        let tree = self.app.tree();
+        let rect = layout::row_of(tree, src).map(|r| r.rect).unwrap_or_default();
+        let w = tree.widget(src);
         if w.control_type == ControlType::ScrollBar || w.control_type == ControlType::Thumb {
-            let track = lay.rect(src).unwrap_or_default();
-            let pct = layout::scrollbar_percent(track, to.1);
+            let pct = layout::scrollbar_percent(rect, to.1);
             let target = w.scroll_target;
             if let Some(t) = target {
                 self.app.tree_mut().widget_mut(t).scroll_pos = pct;
@@ -899,7 +888,6 @@ impl Session {
             // Line-range selection by drag: row indices relative to the
             // surface's own rectangle (self-consistent with how callers
             // compute drag coordinates from the surface rect).
-            let rect = lay.rect(src).unwrap_or_default();
             let row_a = ((from.1 - rect.y) / layout::ROW_H).max(0) as usize;
             let row_b = ((to.1 - rect.y) / layout::ROW_H).max(0) as usize;
             let (a, b) = if row_a <= row_b { (row_a, row_b) } else { (row_b, row_a) };
@@ -916,8 +904,7 @@ impl Session {
     pub fn wheel(&mut self, x: i32, y: i32, delta_percent: f64) -> Result<(), AppError> {
         self.action_seq += 1;
         self.trace.poison();
-        let lay = self.layout();
-        let Some(mut cur) = self.hit_test(&lay, x, y) else {
+        let Some(mut cur) = self.hit_test(x, y) else {
             return Err(AppError::NotInteractable { reason: "nothing under wheel".into() });
         };
         // Walk up to the nearest scrollable container.
@@ -1337,31 +1324,20 @@ impl Session {
         }
     }
 
-    fn hit_test(&self, lay: &layout::Layout, x: i32, y: i32) -> Option<WidgetId> {
-        // Deepest shown widget whose rect contains the point, preferring
-        // widgets in the topmost window.
+    /// The widget under the pointer: the deepest on-screen row containing
+    /// the point (the later one in document order at equal depth), searched
+    /// from the topmost window down. A modal top window swallows a miss.
+    /// One [`layout::walk`] per searched window; depth rides on the walk.
+    fn hit_test(&self, x: i32, y: i32) -> Option<WidgetId> {
         let t = self.app.tree();
-        for win in t.open_windows().iter().rev() {
+        for (wi, win) in t.open_windows().iter().enumerate().rev() {
             let mut best: Option<(WidgetId, usize)> = None;
-            for id in t.descendants(win.root) {
-                if !t.is_shown(id) || lay.offscreen(id) {
-                    continue;
-                }
-                if let Some(r) = lay.rect(id) {
-                    if r.contains(x, y) {
-                        let depth = {
-                            let mut d = 0;
-                            let mut cur = id;
-                            while let Some(p) = t.widget(cur).parent {
-                                d += 1;
-                                cur = p;
-                            }
-                            d
-                        };
-                        if best.is_none_or(|(_, bd)| depth >= bd) {
-                            best = Some((id, depth));
-                        }
-                    }
+            for row in layout::walk(t, win.root, wi) {
+                if !row.offscreen
+                    && row.rect.contains(x, y)
+                    && best.is_none_or(|(_, depth)| row.depth >= depth)
+                {
+                    best = Some((row.id, row.depth));
                 }
             }
             if let Some((id, _)) = best {
@@ -1665,6 +1641,55 @@ mod tests {
         let (x, y) = snap.node(idx).props.rect.center();
         s.click_at(x, y).unwrap();
         assert_eq!(counter(&s), 1);
+    }
+
+    #[test]
+    fn hit_test_rules_deepest_latest_topmost_and_modal_swallow() {
+        let mut t = UiTree::new();
+        let main = t.add_root(Widget::new("Main", CT::Window));
+        // Scrollbars hug the right edge at full height, so these overlap.
+        let first = t.add(main, Widget::new("First", CT::ScrollBar));
+        let second = t.add(main, Widget::new("Second", CT::ScrollBar));
+        let group = t.add(main, Widget::new("Group", CT::Group));
+        let deep = t.add(group, Widget::new("Deep", CT::ScrollBar));
+        let rows: Vec<WidgetId> =
+            (0..20).map(|i| t.add(group, Widget::new(format!("Row{i}"), CT::Button))).collect();
+        let dlg = t.add_root(Widget::new("Dialog", CT::Window));
+        t.add(dlg, Widget::new("OK", CT::Button));
+        let app = TestApp {
+            tree: t,
+            counter: 0,
+            committed: None,
+            last_color: None,
+            color_target: String::new(),
+        };
+        let mut s = Session::new(Box::new(app));
+        let edge = (layout::SCREEN_W - 2, 700);
+
+        // The deepest hit wins over earlier, shallower ones...
+        assert_eq!(s.hit_test(edge.0, edge.1), Some(deep));
+        // ...and at equal depth the later node in document order wins.
+        s.app_mut().tree_mut().widget_mut(group).visible = false;
+        assert_eq!(s.hit_test(edge.0, edge.1), Some(second));
+        s.app_mut().tree_mut().widget_mut(second).visible = false;
+        assert_eq!(s.hit_test(edge.0, edge.1), Some(first));
+        s.app_mut().tree_mut().widget_mut(group).visible = true;
+
+        // Row 4 of the main window is `Row2` (depth 2), outside the dialog.
+        let outside = (100, 4 * layout::ROW_H + 5);
+        assert_eq!(s.hit_test(outside.0, outside.1), Some(rows[2]));
+        // The topmost window is searched first: inside the dialog its root
+        // wins over a deeper main-window row under the same point.
+        s.app_mut().tree_mut().open_window(dlg, false);
+        let inside = (400, 300);
+        assert_eq!(s.hit_test(inside.0, inside.1), Some(dlg));
+        // A non-modal top window lets a miss fall through; a modal one
+        // swallows it.
+        assert_eq!(s.hit_test(outside.0, outside.1), Some(rows[2]));
+        s.app_mut().tree_mut().close_top_window();
+        s.app_mut().tree_mut().open_window(dlg, true);
+        assert_eq!(s.hit_test(inside.0, inside.1), Some(dlg));
+        assert_eq!(s.hit_test(outside.0, outside.1), None);
     }
 
     #[test]

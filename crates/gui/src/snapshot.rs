@@ -42,12 +42,22 @@
 //! eager path rebuilt per query. On a miss, each clean window's node
 //! block is copied wholesale from the best donor capture
 //! ([`Snapshot::append_window_from`]) and only dirty windows are
-//! re-walked, with their layout rows served by the shared
-//! [`layout::LayoutCache`]. Copied blocks also carry the donor's
-//! identity-index columns forward ([`Snapshot::seed_index_window`]): when
-//! the new snapshot's `SnapIndex` materializes, clean windows splice the
-//! donor's shared path `Arc`s and key columns, so only dirty windows pay
-//! index construction.
+//! re-walked. Copied blocks also carry the donor's identity-index columns
+//! forward ([`Snapshot::seed_index_window`]): when the new snapshot's
+//! `SnapIndex` materializes, clean windows splice the donor's shared path
+//! `Arc`s and key columns, so only dirty windows pay index construction.
+//!
+//! # One walk per dirty window
+//!
+//! A dirty window is captured in a single O(n) pass: [`layout::walk`]
+//! visits each shown widget once, in document order, with its rect,
+//! off-screen flag and depth, and the node is pushed straight from that
+//! row with its widget-derived runtime id ([`Snapshot::push_node`]). The
+//! depth gives the parent (the last node emitted one level up), so no
+//! widget→row map and no per-node `is_shown` recursion is needed. A
+//! widget whose children are still loading emits no subtree, but the walk
+//! still passes through it: its hidden rows advance the row counter
+//! exactly as a fully loaded layout would.
 //!
 //! Between the MRU probe and a rebuild, sessions attached to a
 //! [`CapturePool`] additionally probe a **cross-session** pool: sibling
@@ -58,10 +68,14 @@
 //! The eager [`build`] stays as the uncached oracle;
 //! `CaptureConfig::full_rebuild` (see [`crate::session`]) routes every
 //! capture through it, and the release-gated equivalence tests assert
-//! byte-identical UNGs either way.
+//! byte-identical UNGs either way. Because both paths share the walk, the
+//! row rules themselves are checked against a test-only reference: the
+//! former two-pass builder (a widget→row map first, then a second walk
+//! reading the rows back), compared with [`build`] node for node in this
+//! module's tests.
 
 use crate::instability::InstabilityModel;
-use crate::layout::{self, LayoutCache, WindowLayout};
+use crate::layout::{self, Row};
 use crate::tree::UiTree;
 use crate::widget::WidgetId;
 use dmi_uia::{ControlProps, RuntimeId, Snapshot};
@@ -74,32 +88,70 @@ use std::sync::{Arc, Mutex};
 pub fn build(tree: &UiTree, inst: &InstabilityModel, query_seq: u64) -> Snapshot {
     let mut snap = Snapshot::new();
     for (wi, win) in tree.open_windows().iter().enumerate() {
-        let lay = layout::compute_window(tree, win.root, wi);
-        push_window(tree, inst, query_seq, win.root, win.modal, wi, &lay, &mut snap);
+        walk_window(tree, inst, query_seq, win.root, win.modal, wi, &mut snap);
     }
     snap
 }
 
-/// Walks one window into `snap`, registering its root in z-order.
-#[allow(clippy::too_many_arguments)]
-fn push_window(
+/// Emits one window into `snap` from a single [`layout::walk`] and
+/// registers its root in z-order. Returns whether the root was shown (and
+/// so emitted).
+fn walk_window(
     tree: &UiTree,
     inst: &InstabilityModel,
     query_seq: u64,
     root: WidgetId,
     modal: bool,
     wi: usize,
-    lay: &WindowLayout,
     snap: &mut Snapshot,
-) {
-    let root_idx = add_subtree(tree, inst, query_seq, root, None, wi, lay, snap);
-    if let Some(r) = root_idx {
-        if modal {
-            snap.push_modal_window_root(r);
-        } else {
-            snap.push_window_root(r);
+) -> bool {
+    let start = snap.len();
+    // `parents[d]` is the last node emitted at depth `d`: the parent of
+    // the next row at depth `d + 1`.
+    let mut parents: Vec<usize> = Vec::new();
+    // Depth of a widget whose children are still loading: rows below it
+    // are walked (they hold their rows) but not emitted.
+    let mut pending_at: Option<usize> = None;
+    for row in layout::walk(tree, root, wi) {
+        match pending_at {
+            Some(d) if row.depth > d => continue,
+            _ => pending_at = None,
+        }
+        let parent = row.depth.checked_sub(1).map(|d| parents[d]);
+        let idx = snap.push_node(props_of(tree, inst, &row), parent, wi, runtime_of(row.id));
+        parents.truncate(row.depth);
+        parents.push(idx);
+        if tree.children_pending(row.id, query_seq) {
+            pending_at = Some(row.depth);
         }
     }
+    let rooted = snap.len() > start;
+    if rooted {
+        if modal {
+            snap.push_modal_window_root(start);
+        } else {
+            snap.push_window_root(start);
+        }
+    }
+    rooted
+}
+
+/// The client-side properties of one laid-out widget.
+fn props_of(tree: &UiTree, inst: &InstabilityModel, row: &Row) -> ControlProps {
+    let w = tree.widget(row.id);
+    let mut props = ControlProps::new(inst.live_name(row.id, &w.name), w.control_type);
+    props.automation_id = w.automation_id.clone();
+    props.class_name = w.class_name.clone();
+    props.help_text = w.help_text.clone();
+    props.patterns = w.patterns;
+    props.enabled = w.enabled;
+    props.value = w.value.clone();
+    props.toggle = w.toggle;
+    props.selected = w.selected;
+    props.expanded = if w.popup { Some(w.expanded) } else { None };
+    props.rect = row.rect;
+    props.offscreen = row.offscreen;
+    props
 }
 
 /// The capture key of one open window, read off the live tree.
@@ -156,13 +208,12 @@ impl CachedCapture {
     }
 }
 
-/// MRU cache of recent captures plus the shared per-window layout cache.
-/// Owned by `Session`; cleared on restart (an application `reset` may
-/// swap the tree wholesale, which would break stamp lineage).
+/// MRU cache of recent captures. Owned by `Session`; cleared on restart
+/// (an application `reset` may swap the tree wholesale, which would break
+/// stamp lineage).
 #[derive(Debug, Default)]
 pub struct CaptureCache {
     entries: Vec<CachedCapture>,
-    layout: LayoutCache,
 }
 
 /// Counters for capture-cache effectiveness (see `Session::capture_stats`).
@@ -198,19 +249,17 @@ pub struct CaptureStats {
     /// Entries evicted from the shared pool under the frequency × cost
     /// retention policy while this session inserted.
     pub pool_evictions: u64,
+    /// Snapshot nodes emitted by re-walked windows (the capture work that
+    /// scales with window size).
+    pub nodes_walked: u64,
+    /// Snapshot nodes copied from donor captures for clean windows.
+    pub nodes_copied: u64,
 }
 
 impl CaptureCache {
-    /// Drops every cached capture and layout row set.
+    /// Drops every cached capture.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.layout.clear();
-    }
-
-    /// The shared layout for the current tree state, reusing unchanged
-    /// windows (used by the session's input paths).
-    pub fn layout(&mut self, tree: &UiTree) -> layout::Layout {
-        self.layout.compute(tree)
     }
 }
 
@@ -282,7 +331,9 @@ pub(crate) fn rebuild(
                     snap.seed_index_window(start, end, donor_ix, m.start);
                 }
                 stats.windows_reused += 1;
+                stats.nodes_copied += (end - start) as u64;
                 dmi_obs::tally("capture.windows_reused", 1);
+                dmi_obs::tally("capture.nodes_copied", (end - start) as u64);
                 WindowMeta {
                     key: key.clone(),
                     start,
@@ -292,17 +343,18 @@ pub(crate) fn rebuild(
                 }
             }
             None => {
-                let lay = cache.layout.window(tree, key.root, wi);
                 let start = snap.len();
-                push_window(tree, inst, query_seq, key.root, key.modal, wi, &lay, &mut snap);
+                let rooted = walk_window(tree, inst, query_seq, key.root, key.modal, wi, &mut snap);
                 let end = snap.len();
                 stats.windows_rebuilt += 1;
+                stats.nodes_walked += (end - start) as u64;
                 dmi_obs::tally("capture.windows_rebuilt", 1);
+                dmi_obs::tally("capture.nodes_walked", (end - start) as u64);
                 WindowMeta {
                     key: key.clone(),
                     start,
                     end,
-                    rooted: end > start,
+                    rooted,
                     next_reveal: tree.next_reveal_under(key.root, query_seq),
                 }
             }
@@ -665,60 +717,309 @@ pub fn runtime_of(id: WidgetId) -> RuntimeId {
     RuntimeId(id.0 as u64 + 1)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn add_subtree(
-    tree: &UiTree,
-    inst: &InstabilityModel,
-    query_seq: u64,
-    id: WidgetId,
-    parent: Option<usize>,
-    window: usize,
-    lay: &WindowLayout,
-    snap: &mut Snapshot,
-) -> Option<usize> {
-    if !tree.is_shown(id) {
-        return None;
-    }
-    let w = tree.widget(id);
-    let mut props = ControlProps::new(inst.live_name(id, &w.name), w.control_type);
-    props.automation_id = w.automation_id.clone();
-    props.class_name = w.class_name.clone();
-    props.help_text = w.help_text.clone();
-    props.patterns = w.patterns;
-    props.enabled = w.enabled;
-    props.value = w.value.clone();
-    props.toggle = w.toggle;
-    props.selected = w.selected;
-    props.expanded = if w.popup { Some(w.expanded) } else { None };
-    props.rect = lay.rect(id).unwrap_or_default();
-    props.offscreen = lay.offscreen(id);
-
-    let idx = snap.push(props, parent, window);
-    // Snapshot runtime ids must track the widget arena, not insertion order.
-    debug_assert!(idx < snap.len());
-    override_runtime_id(snap, idx, id);
-
-    if !tree.children_pending(id, query_seq) {
-        for &c in &tree.widget(id).children {
-            add_subtree(tree, inst, query_seq, c, Some(idx), window, lay, snap);
-        }
-    }
-    Some(idx)
-}
-
-/// Replaces the sequential runtime id assigned by `Snapshot::push` with the
-/// widget-derived one.
-fn override_runtime_id(snap: &mut Snapshot, idx: usize, id: WidgetId) {
-    // Snapshot nodes are immutable through the public API; we rebuild the
-    // runtime id through a dedicated setter to keep the arena consistent.
-    snap.set_runtime_id(idx, runtime_of(id));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::widget::{Widget, WidgetBuilder};
     use dmi_uia::ControlType as CT;
+
+    /// The two-pass capture builder [`build`] replaced, kept as the
+    /// reference for the walk's row rules: per window, a widget→row map
+    /// is filled first (recursive `is_shown` per child), then a second
+    /// walk re-checks `is_shown` per node and reads its rows back.
+    mod reference {
+        use super::*;
+        use crate::layout::{window_rect, ROW_H};
+        use dmi_uia::Rect;
+        use std::collections::HashMap;
+
+        type Rows = HashMap<WidgetId, (Rect, bool)>;
+
+        pub fn build(tree: &UiTree, inst: &InstabilityModel, query_seq: u64) -> Snapshot {
+            let mut snap = Snapshot::new();
+            for (wi, win) in tree.open_windows().iter().enumerate() {
+                let wrect = window_rect(wi);
+                let mut rows = Rows::new();
+                rows.insert(win.root, (wrect, false));
+                place_children(tree, win.root, wrect, &mut 1, 1, &mut rows, false);
+                let root = add_subtree(tree, inst, query_seq, win.root, None, wi, &rows, &mut snap);
+                if let Some(r) = root {
+                    if win.modal {
+                        snap.push_modal_window_root(r);
+                    } else {
+                        snap.push_window_root(r);
+                    }
+                }
+            }
+            snap
+        }
+
+        fn place_children(
+            tree: &UiTree,
+            parent: WidgetId,
+            wrect: Rect,
+            row: &mut i32,
+            depth: i32,
+            rows: &mut Rows,
+            forced_off: bool,
+        ) {
+            let pw = tree.widget(parent);
+            let kids: Vec<WidgetId> =
+                pw.children.iter().copied().filter(|&c| tree.is_shown(c)).collect();
+            let viewport: Option<(usize, usize)> = if pw.scrollable && !kids.is_empty() {
+                let n = pw.viewport_rows.min(kids.len());
+                let max_start = kids.len() - n;
+                let start = ((pw.scroll_pos / 100.0) * max_start as f64).round() as usize;
+                Some((start.min(max_start), n))
+            } else {
+                None
+            };
+            for (i, &c) in kids.iter().enumerate() {
+                let in_viewport = match viewport {
+                    Some((start, n)) => i >= start && i < start + n,
+                    None => true,
+                };
+                let off = forced_off || !in_viewport;
+                let rect = if tree.widget(c).control_type == CT::ScrollBar {
+                    Rect::new(wrect.x + wrect.w - 18, wrect.y, 18, wrect.h)
+                } else if off {
+                    Rect::new(0, 0, 0, 0)
+                } else {
+                    let y = wrect.y + (*row % ((wrect.h / ROW_H).max(1))) * ROW_H;
+                    let x = wrect.x + depth * 8;
+                    *row += 1;
+                    Rect::new(x, y, (wrect.w - depth * 16).max(40), ROW_H - 2)
+                };
+                rows.insert(c, (rect, off));
+                place_children(tree, c, wrect, row, depth + 1, rows, off);
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn add_subtree(
+            tree: &UiTree,
+            inst: &InstabilityModel,
+            query_seq: u64,
+            id: WidgetId,
+            parent: Option<usize>,
+            window: usize,
+            rows: &Rows,
+            snap: &mut Snapshot,
+        ) -> Option<usize> {
+            if !tree.is_shown(id) {
+                return None;
+            }
+            let w = tree.widget(id);
+            let mut props = ControlProps::new(inst.live_name(id, &w.name), w.control_type);
+            props.automation_id = w.automation_id.clone();
+            props.class_name = w.class_name.clone();
+            props.help_text = w.help_text.clone();
+            props.patterns = w.patterns;
+            props.enabled = w.enabled;
+            props.value = w.value.clone();
+            props.toggle = w.toggle;
+            props.selected = w.selected;
+            props.expanded = if w.popup { Some(w.expanded) } else { None };
+            props.rect = rows.get(&id).map(|r| r.0).unwrap_or_default();
+            props.offscreen = rows.get(&id).is_some_and(|r| r.1);
+            let idx = snap.push_node(props, parent, window, runtime_of(id));
+            if !tree.children_pending(id, query_seq) {
+                for &c in &tree.widget(id).children {
+                    add_subtree(tree, inst, query_seq, c, Some(idx), window, rows, snap);
+                }
+            }
+            Some(idx)
+        }
+    }
+
+    /// Asserts the walk-based builders — eager [`build`] and a cold
+    /// [`rebuild`] — equal the reference node for node: props (rects and
+    /// off-screen flags included), runtime ids, parents, children, window
+    /// roots and modality.
+    fn assert_matches_reference(t: &UiTree, inst: &InstabilityModel, query_seq: u64) {
+        let want = reference::build(t, inst, query_seq);
+        let got = build(t, inst, query_seq);
+        for (i, (n, r)) in got.iter().map(|(_, n)| n).zip(want.iter().map(|(_, n)| n)).enumerate() {
+            assert_eq!(n, r, "node {i} at query {query_seq}");
+        }
+        assert_eq!(got, want, "whole snapshot at query {query_seq}");
+        let keys = probe(t, query_seq, &mut CaptureCache::default()).expect_err("cold cache");
+        let mut stats = CaptureStats::default();
+        let rebuilt =
+            rebuild(t, inst, query_seq, 4, keys, &mut CaptureCache::default(), &mut stats);
+        assert_eq!(*rebuilt, want, "cold rebuild at query {query_seq}");
+        assert_eq!(stats.nodes_walked, want.len() as u64, "every emitted node counted");
+    }
+
+    /// A main window with a scrolled document (nested runs, so off-screen
+    /// rows have off-screen descendants), a tab strip, open and closed
+    /// popups, a context-gated button inside the scroll viewport, a
+    /// late-loading group, and enough rows to wrap the row counter.
+    fn shapes_tree() -> (UiTree, WidgetId, WidgetId) {
+        let mut t = UiTree::new();
+        let main = t.add_root(Widget::new("Main", CT::Window));
+        let doc = t.add(main, WidgetBuilder::new("Doc", CT::Document).scrollable(4).build());
+        for i in 0..9 {
+            let p = t.add(doc, Widget::new(format!("P{i}"), CT::Text));
+            t.add(p, Widget::new(format!("Run{i}"), CT::Text));
+            if i == 3 {
+                t.add(doc, WidgetBuilder::new("Crop", CT::Button).visible_when("image").build());
+            }
+        }
+        t.add(main, WidgetBuilder::new("Vertical", CT::ScrollBar).scroll_target(doc).build());
+        let tabs = t.add(main, Widget::new("Ribbon", CT::Tab));
+        let home = t.add(tabs, WidgetBuilder::new("Home", CT::TabItem).selected().build());
+        let insert = t.add(tabs, Widget::new("Insert", CT::TabItem));
+        t.add(home, Widget::new("Bold", CT::Button));
+        t.add(insert, Widget::new("Picture", CT::Button));
+        let open = t.add(home, WidgetBuilder::new("Colors", CT::SplitButton).popup().build());
+        let closed = t.add(home, WidgetBuilder::new("Styles", CT::SplitButton).popup().build());
+        for i in 0..5 {
+            t.add(open, Widget::new(format!("Color{i}"), CT::ListItem));
+            t.add(closed, Widget::new(format!("Style{i}"), CT::ListItem));
+        }
+        t.open_popup(open);
+        let mut hidden = Widget::new("Hidden", CT::Button);
+        hidden.visible = false;
+        let hidden = t.add(main, hidden);
+        t.add(hidden, Widget::new("UnderHidden", CT::Button));
+        let late = t.add(main, Widget::new("Gallery", CT::Group));
+        for i in 0..6 {
+            let g = t.add(late, Widget::new(format!("Thumb{i}"), CT::ListItem));
+            t.add(g, Widget::new(format!("Caption{i}"), CT::Text));
+        }
+        for i in 0..40 {
+            t.add(main, Widget::new(format!("Tail{i}"), CT::Button));
+        }
+        (t, doc, late)
+    }
+
+    #[test]
+    fn walk_matches_reference_on_scroll_viewports() {
+        let (mut t, doc, _) = shapes_tree();
+        for pos in [0.0, 50.0, 100.0] {
+            t.widget_mut(doc).scroll_pos = pos;
+            assert_matches_reference(&t, &InstabilityModel::off(), 0);
+            let s = build(&t, &InstabilityModel::off(), 0);
+            let runs = s.iter().filter(|(_, n)| n.props.name.starts_with("Run"));
+            let off = runs.filter(|(_, n)| n.props.offscreen).count();
+            assert_eq!(off, 5, "off-screen rows carry off-screen descendants at {pos}%");
+        }
+    }
+
+    #[test]
+    fn walk_matches_reference_on_tabs_popups_and_contexts() {
+        let (mut t, ..) = shapes_tree();
+        assert_matches_reference(&t, &InstabilityModel::off(), 0);
+        let s = build(&t, &InstabilityModel::off(), 0);
+        for absent in ["Picture", "Style0", "Crop", "Hidden", "UnderHidden"] {
+            assert!(s.find_by_name(absent).is_none(), "{absent} is not shown");
+        }
+        assert!(s.find_by_name("Color4").is_some());
+        // The context reveals a widget inside the scroll viewport, shifting
+        // which rows are on screen; the tab switch swaps ribbon contents.
+        t.set_context("image", true);
+        assert_matches_reference(&t, &InstabilityModel::off(), 0);
+        assert!(build(&t, &InstabilityModel::off(), 0).find_by_name("Crop").is_some());
+        let insert = t.find_by_name("Insert").unwrap();
+        t.select_tab(insert);
+        assert_matches_reference(&t, &InstabilityModel::off(), 0);
+    }
+
+    #[test]
+    fn walk_matches_reference_on_pending_children() {
+        let (mut t, _, late) = shapes_tree();
+        t.set_pending_children(late, 5);
+        let inst = InstabilityModel::off();
+        for q in [4, 5] {
+            assert_matches_reference(&t, &inst, q);
+        }
+        // The hidden subtree still holds its rows: the widgets after it sit
+        // where they sit once it is revealed.
+        let (before, after) = (build(&t, &inst, 4), build(&t, &inst, 5));
+        assert!(before.find_by_name("Thumb0").is_none());
+        assert!(after.find_by_name("Thumb0").is_some());
+        let rect = |s: &Snapshot| s.node(s.find_by_name("Tail0").unwrap()).props.rect;
+        assert_eq!(rect(&before), rect(&after));
+    }
+
+    #[test]
+    fn walk_matches_reference_under_name_variation() {
+        let (t, ..) = shapes_tree();
+        for seed in 0..4 {
+            assert_matches_reference(&t, &InstabilityModel::new(seed, 0.0, 1.0), 0);
+        }
+    }
+
+    #[test]
+    fn walk_matches_reference_on_stacked_modal_dialogs() {
+        let (mut t, ..) = shapes_tree();
+        let mut dialogs = Vec::new();
+        for (i, modal) in [(0, false), (1, true), (2, true)] {
+            let dlg = t.add_root(Widget::new(format!("Dialog{i}"), CT::Window));
+            let list = t.add(dlg, WidgetBuilder::new("List", CT::List).scrollable(2).build());
+            for j in 0..5 {
+                t.add(list, Widget::new(format!("Item{j}"), CT::ListItem));
+            }
+            t.add(dlg, Widget::new("OK", CT::Button));
+            t.open_window(dlg, modal);
+            dialogs.push(dlg);
+        }
+        assert_matches_reference(&t, &InstabilityModel::off(), 0);
+        let s = build(&t, &InstabilityModel::off(), 0);
+        assert_eq!(s.windows().len(), 4);
+        assert_eq!(s.top_modal_window(), Some(3));
+        // A window whose root is hidden contributes no block and no root.
+        t.widget_mut(dialogs[1]).visible = false;
+        assert_matches_reference(&t, &InstabilityModel::off(), 0);
+        assert_eq!(build(&t, &InstabilityModel::off(), 0).windows().len(), 3);
+    }
+
+    #[test]
+    fn walk_matches_reference_on_generated_trees() {
+        // A small LCG keeps the corpus deterministic without a rand dep.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for _ in 0..200 {
+            let mut t = UiTree::new();
+            let main = t.add_root(Widget::new("Main", CT::Window));
+            let mut ids = vec![main];
+            for i in 0..(20 + next(60)) {
+                let parent = ids[next(ids.len() as u64) as usize];
+                let ct =
+                    [CT::Button, CT::Group, CT::TabItem, CT::ScrollBar, CT::Text][next(5) as usize];
+                let mut b = WidgetBuilder::new(format!("W{i}"), ct);
+                if next(4) == 0 {
+                    b = b.popup();
+                }
+                if next(5) == 0 {
+                    b = b.scrollable(1 + next(4) as usize);
+                }
+                if next(6) == 0 {
+                    b = b.visible_when("ctx");
+                }
+                if next(3) == 0 {
+                    b = b.selected();
+                }
+                let mut w = b.build();
+                w.visible = next(8) != 0;
+                w.scroll_pos = [0.0, 50.0, 100.0][next(3) as usize];
+                w.expanded = w.popup && next(2) == 0;
+                let id = t.add(parent, w);
+                if next(10) == 0 {
+                    t.set_pending_children(id, 3);
+                }
+                ids.push(id);
+            }
+            t.set_context("ctx", next(2) == 0);
+            for q in [2, 3] {
+                assert_matches_reference(&t, &InstabilityModel::off(), q);
+            }
+        }
+    }
 
     fn tree() -> (UiTree, WidgetId, WidgetId, WidgetId) {
         let mut t = UiTree::new();

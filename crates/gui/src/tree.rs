@@ -454,28 +454,28 @@ impl UiTree {
     /// popup ancestor expanded, every tab ancestor selected, context
     /// conditions met, and static visibility on).
     pub fn is_shown(&self, id: WidgetId) -> bool {
+        self.shows_itself(id)
+            && match self.widgets[id.0].parent {
+                None => self.is_window_open(id),
+                Some(p) => self.reveals_children(p) && self.is_shown(p),
+            }
+    }
+
+    /// The widget's own half of [`UiTree::is_shown`]: static visibility on
+    /// and its `visible_when` context (if any) active. A child of a shown
+    /// parent that [`UiTree::reveals_children`] is shown exactly when this
+    /// holds, which is what lets a top-down walk check visibility in O(1)
+    /// per widget.
+    pub(crate) fn shows_itself(&self, id: WidgetId) -> bool {
         let w = &self.widgets[id.0];
-        if !w.visible {
-            return false;
-        }
-        if let Some(ctx) = &w.visible_when {
-            if !self.contexts.contains(ctx) {
-                return false;
-            }
-        }
-        match w.parent {
-            None => self.is_window_open(id),
-            Some(p) => {
-                let pw = &self.widgets[p.0];
-                if pw.popup && !pw.expanded {
-                    return false;
-                }
-                if pw.control_type == ControlType::TabItem && !pw.selected {
-                    return false;
-                }
-                self.is_shown(p)
-            }
-        }
+        w.visible && w.visible_when.as_ref().is_none_or(|ctx| self.contexts.contains(ctx))
+    }
+
+    /// Whether a widget lets its children show: not a collapsed popup and
+    /// not an unselected tab item.
+    pub(crate) fn reveals_children(&self, id: WidgetId) -> bool {
+        let w = &self.widgets[id.0];
+        (!w.popup || w.expanded) && (w.control_type != ControlType::TabItem || w.selected)
     }
 
     /// Selects a tab item, deselecting its sibling tab items.

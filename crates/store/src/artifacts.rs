@@ -354,7 +354,6 @@ pub fn enc_snapshot(e: &mut Enc, it: &mut Interner, snap: &Snapshot) {
 pub fn dec_snapshot(d: &mut Dec, strings: &[String]) -> StoreResult<Snapshot> {
     let n = d.len(46)?;
     let mut snap = Snapshot::new();
-    let mut runtime_ids = Vec::with_capacity(n);
     for idx in 0..n {
         let parent = match d.u32()? {
             u32::MAX => None,
@@ -388,12 +387,8 @@ pub fn dec_snapshot(d: &mut Dec, strings: &[String]) -> StoreResult<Snapshot> {
             rect,
             focusable,
         };
-        let pushed = snap.push(props, parent, window);
+        let pushed = snap.push_node(props, parent, window, RuntimeId(runtime_id));
         debug_assert_eq!(pushed, idx);
-        runtime_ids.push(runtime_id);
-    }
-    for (idx, rt) in runtime_ids.into_iter().enumerate() {
-        snap.set_runtime_id(idx, RuntimeId(rt));
     }
     let n_windows = d.len(5)?;
     for _ in 0..n_windows {

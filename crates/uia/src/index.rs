@@ -416,9 +416,14 @@ mod tests {
     #[test]
     fn runtime_table_matches_linear_scan() {
         let mut s = sample();
-        s.set_runtime_id(2, RuntimeId(77));
+        let u = s.push_node(
+            ControlProps::new("Underline", ControlType::Button),
+            Some(2),
+            0,
+            RuntimeId(77),
+        );
         let ix = SnapIndex::build(&s);
-        assert_eq!(ix.index_of_runtime(RuntimeId(77)), Some(2));
+        assert_eq!(ix.index_of_runtime(RuntimeId(77)), Some(u));
         assert_eq!(ix.index_of_runtime(RuntimeId(999)), None);
     }
 

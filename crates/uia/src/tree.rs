@@ -76,13 +76,29 @@ impl Snapshot {
         Snapshot::default()
     }
 
-    /// Adds a node and returns its arena index.
+    /// Adds a node with the sequential runtime id `index + 1` and returns
+    /// its arena index.
     ///
     /// `parent` must be an index previously returned by `push`.
     pub fn push(&mut self, props: ControlProps, parent: Option<usize>, window: usize) -> usize {
+        let runtime_id = RuntimeId(self.nodes.len() as u64 + 1);
+        self.push_node(props, parent, window, runtime_id)
+    }
+
+    /// Adds a node carrying the given runtime id (providers that derive
+    /// runtime ids from their own widget identity, and decoders restoring
+    /// stored ones) and returns its arena index.
+    ///
+    /// `parent` must be an index previously returned by `push`.
+    pub fn push_node(
+        &mut self,
+        props: ControlProps,
+        parent: Option<usize>,
+        window: usize,
+        runtime_id: RuntimeId,
+    ) -> usize {
         self.index.take();
         let idx = self.nodes.len();
-        let runtime_id = RuntimeId(idx as u64 + 1);
         self.nodes.push(Node { runtime_id, props, parent, children: Vec::new(), window });
         if let Some(p) = parent {
             self.nodes[p].children.push(idx);
@@ -158,15 +174,6 @@ impl Snapshot {
             Some(m) => self.nodes[idx].window >= m,
             None => true,
         }
-    }
-
-    /// Overrides the runtime id of a node (providers that derive runtime
-    /// ids from their own widget identity use this after `push`).
-    pub fn set_runtime_id(&mut self, idx: usize, rt: RuntimeId) {
-        self.index.take();
-        // A rewritten runtime id falsifies any seed covering the node.
-        self.index_seeds.get_mut().unwrap().retain(|s| !(s.start..s.end).contains(&idx));
-        self.nodes[idx].runtime_id = rt;
     }
 
     /// Registers a carry-forward seed for the identity index: the arena

@@ -156,6 +156,28 @@ fn word_small_rip_legacy_full_restart_counts_unchanged() {
     assert_eq!(stats.windows_seen, 15, "windows observed opening");
 }
 
+/// Pin for the capture work of a sequential full-app rip: dirty windows
+/// emit their shown widgets from one layout walk, clean windows copy their
+/// donor block. Both counts are exact, and they equal the counts of the
+/// former two-pass builder (layout map, then a second tree walk), so a
+/// faster capture path that moves either number is doing different work.
+#[test]
+#[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
+fn full_app_capture_walk_counts_pinned() {
+    let pins = [
+        (AppKind::Word, 650_746, 10_285),
+        (AppKind::Excel, 1_894_748, 336_059),
+        (AppKind::PowerPoint, 257_558, 14_201),
+    ];
+    for (kind, walked, copied) in pins {
+        let mut s = Session::new(kind.launch());
+        rip(&mut s, &RipConfig::office(kind.name()));
+        let cs = s.capture_stats();
+        assert_eq!(cs.nodes_walked, walked, "{kind}: snapshot nodes walked");
+        assert_eq!(cs.nodes_copied, copied, "{kind}: snapshot nodes copied from donors");
+    }
+}
+
 /// Capture-cache equivalence oracle: ripping with the default epoch-cached
 /// capture pipeline must produce a UNG byte-identical (nodes, names,
 /// types, edges, in order) to a session whose [`CaptureConfig`] forces an

@@ -269,6 +269,9 @@ fn rip_stats_match_obs_tallies() {
     assert_eq!(cs.pristine_hits, t("capture.pristine_hits"), "pristine hits");
     assert_eq!(cs.windows_reused, t("capture.windows_reused"), "windows reused");
     assert_eq!(cs.windows_rebuilt, t("capture.windows_rebuilt"), "windows rebuilt");
+    assert_eq!(cs.nodes_walked, t("capture.nodes_walked"), "nodes walked");
+    assert_eq!(cs.nodes_copied, t("capture.nodes_copied"), "nodes copied");
+    assert!(cs.nodes_walked > 0 && cs.nodes_copied > 0, "both capture paths ran");
     assert_eq!(cs.pool_hits, t("capture.pool_hits"), "pool hits");
     assert_eq!(cs.pool_misses, t("capture.pool_misses"), "pool misses");
 }
