@@ -15,7 +15,7 @@
 use crate::grounding::ground;
 use crate::task::AgentTask;
 use dmi_core::interface::{observe as obs, state};
-use dmi_core::screen::label_screen;
+use dmi_core::screen::{label_screen, Label};
 use dmi_core::topology::Forest;
 use dmi_core::{tokens, Dmi};
 use dmi_gui::Session;
@@ -123,10 +123,7 @@ fn prompt_tokens(session: &mut Session, dmi: &Dmi) -> usize {
     let snap = session.snapshot();
     let screen = label_screen(&snap);
     let passive = obs::get_texts_passive(&snap, &obs::PassiveConfig::default());
-    DMI_BASE_PROMPT_TOKENS
-        + tokens::count(&screen.to_prompt_text())
-        + dmi.core_tokens()
-        + tokens::count(&passive.to_prompt_text())
+    DMI_BASE_PROMPT_TOKENS + screen.prompt_tokens() + dmi.core_tokens() + passive.prompt_tokens()
 }
 
 /// The resumable AppAgent loop state: the prepared declarative plan plus
@@ -195,7 +192,7 @@ impl DmiState {
                 run_state(session, llm, dmi, |s, screen| {
                     let e = screen
                         .find_by_name(surface)
-                        .map(|e| e.label.clone())
+                        .map(|e| e.label())
                         .ok_or(FailureCause::WeakVisualSemantic)?;
                     state::set_scrollbar_pos(s, screen, &e, *percent)
                         .map_err(|_| FailureCause::TopologyInaccuracy)?;
@@ -206,7 +203,7 @@ impl DmiState {
                 run_state(session, llm, dmi, |s, screen| {
                     let e = screen
                         .find_by_name(surface)
-                        .map(|e| e.label.clone())
+                        .map(|e| e.label())
                         .ok_or(FailureCause::WeakVisualSemantic)?;
                     state::select_lines(s, screen, &e, *start, *end)
                         .map_err(|_| FailureCause::TopologyInaccuracy)?;
@@ -214,10 +211,10 @@ impl DmiState {
                 })
             }
             PlanStep::StateSelectControls { names } => run_state(session, llm, dmi, |s, screen| {
-                let labels: Option<Vec<String>> =
-                    names.iter().map(|n| screen.find_by_name(n).map(|e| e.label.clone())).collect();
+                let labels: Option<Vec<Label>> =
+                    names.iter().map(|n| screen.find_by_name(n).map(|e| e.label())).collect();
                 let labels = labels.ok_or(FailureCause::WeakVisualSemantic)?;
-                let refs: Vec<&str> = labels.iter().map(|s| s.as_str()).collect();
+                let refs: Vec<&str> = labels.iter().map(|l| l.as_str()).collect();
                 state::select_controls(s, screen, &refs)
                     .map_err(|_| FailureCause::TopologyInaccuracy)?;
                 Ok(())
@@ -225,17 +222,17 @@ impl DmiState {
             PlanStep::StateToggle { name, on } => run_state(session, llm, dmi, |s, screen| {
                 let e = screen
                     .find_by_name(name)
-                    .map(|e| e.label.clone())
+                    .map(|e| e.label())
                     .ok_or(FailureCause::WeakVisualSemantic)?;
                 state::set_toggle_state(s, screen, &e, *on)
                     .map_err(|_| FailureCause::TopologyInaccuracy)?;
                 Ok(())
             }),
             PlanStep::ObserveTexts { names } => run_state(session, llm, dmi, |s, screen| {
-                let labels: Option<Vec<String>> =
-                    names.iter().map(|n| screen.find_by_name(n).map(|e| e.label.clone())).collect();
+                let labels: Option<Vec<Label>> =
+                    names.iter().map(|n| screen.find_by_name(n).map(|e| e.label())).collect();
                 let labels = labels.ok_or(FailureCause::WeakVisualSemantic)?;
-                let refs: Vec<&str> = labels.iter().map(|s| s.as_str()).collect();
+                let refs: Vec<&str> = labels.iter().map(|l| l.as_str()).collect();
                 obs::get_texts_active(s, screen, &refs)
                     .map_err(|_| FailureCause::TopologyInaccuracy)?;
                 Ok(())
@@ -370,10 +367,10 @@ fn run_visit(
         for t in unresolved {
             let snap = session.snapshot();
             let screen = label_screen(&snap);
-            let Some((_, entry)) = ground(&screen, &t.query) else {
+            let Some(entry) = ground(&screen, &t.query) else {
                 return Err(FailureCause::TopologyInaccuracy);
             };
-            let wid = session.widget_of(entry.runtime);
+            let wid = session.widget_of(entry.runtime());
             if session.click(wid).is_err() {
                 return Err(FailureCause::TopologyInaccuracy);
             }
@@ -404,10 +401,10 @@ fn gui_fallback_chunk(
     for (_, _, t) in chunk {
         let snap = session.snapshot();
         let screen = label_screen(&snap);
-        let Some((_, entry)) = ground(&screen, &t.query) else {
+        let Some(entry) = ground(&screen, &t.query) else {
             return Err(FailureCause::TopologyInaccuracy);
         };
-        let wid = session.widget_of(entry.runtime);
+        let wid = session.widget_of(entry.runtime());
         if session.click(wid).is_err() {
             return Err(FailureCause::TopologyInaccuracy);
         }

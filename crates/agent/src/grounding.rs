@@ -8,36 +8,42 @@
 
 use dmi_core::screen::{LabeledScreen, ScreenEntry};
 use dmi_llm::TargetQuery;
-use dmi_uia::ident::string_similarity;
+use dmi_uia::ident::string_similarity_bounded;
 
 /// Minimum name similarity for a visual match.
 pub const GROUNDING_SIMILARITY: f64 = 0.8;
 
 /// Finds the on-screen entry for a query, by name similarity.
 ///
-/// Returns the index into `screen.entries`. Prefers exact matches, then
-/// the highest-similarity entry above the threshold. Disabled controls
-/// still ground (clicking them fails, realistically).
-pub fn ground<'a>(screen: &'a LabeledScreen, q: &TargetQuery) -> Option<(usize, &'a ScreenEntry)> {
+/// Prefers clickable entries, then the highest similarity at or above
+/// the threshold; the first entry wins ties. Disabled controls still
+/// ground (clicking them fails, realistically).
+///
+/// Two shortcuts keep this exact. `(clickable, 1.0)` is the maximum
+/// score and only identical names score 1.0 (case-only matches score
+/// 0.97), so the first clickable entry named exactly like the query is
+/// the answer. And the similarity is bounded at the threshold: it is
+/// exact for every score the threshold admits, and lower scores are
+/// skipped anyway.
+pub fn ground<'a>(screen: &'a LabeledScreen, q: &TargetQuery) -> Option<ScreenEntry<'a>> {
     // A user looking for something to click prefers interactive elements
     // over same-named containers (ribbon groups often share their
     // dialog-launcher's name).
-    let mut best: Option<(usize, f64, bool)> = None; // (idx, score, clickable)
-    for (i, e) in screen.entries.iter().enumerate() {
-        let clickable = dmi_core::interface::is_clickable(e.control_type);
-        let s = if e.name == q.name { 1.0 } else { string_similarity(&e.name, &q.name) };
+    let mut best: Option<(ScreenEntry<'a>, f64, bool)> = None; // (entry, score, clickable)
+    for e in screen.entries() {
+        let clickable = dmi_core::interface::is_clickable(e.control_type());
+        if clickable && e.name() == q.name {
+            return Some(e);
+        }
+        let s = string_similarity_bounded(e.name(), &q.name, GROUNDING_SIMILARITY);
         if s < GROUNDING_SIMILARITY {
             continue;
         }
-        let better = match best {
-            None => true,
-            Some((_, bs, bc)) => (clickable, s) > (bc, bs),
-        };
-        if better {
-            best = Some((i, s, clickable));
+        if best.is_none_or(|(_, bs, bc)| (clickable, s) > (bc, bs)) {
+            best = Some((e, s, clickable));
         }
     }
-    best.map(|(i, _, _)| (i, &screen.entries[i]))
+    best.map(|(e, _, _)| e)
 }
 
 /// Whether every query in a batch grounds on the current screen (the
@@ -62,16 +68,16 @@ mod tests {
     #[test]
     fn exact_name_grounds() {
         let sc = screen();
-        let (_, e) = ground(&sc, &TargetQuery::name("Bold")).unwrap();
-        assert_eq!(e.name, "Bold");
+        let e = ground(&sc, &TargetQuery::name("Bold")).unwrap();
+        assert_eq!(e.name(), "Bold");
     }
 
     #[test]
     fn similar_name_grounds() {
         let sc = screen();
         // A trailing-space or ellipsis variant still grounds.
-        let (_, e) = ground(&sc, &TargetQuery::name("Font Color ")).unwrap();
-        assert!(e.name.starts_with("Font Color"));
+        let e = ground(&sc, &TargetQuery::name("Font Color ")).unwrap();
+        assert!(e.name().starts_with("Font Color"));
     }
 
     #[test]

@@ -11,11 +11,9 @@
 
 use crate::grounding::ground;
 use crate::task::AgentTask;
-use dmi_core::screen::{label_screen, LabeledScreen};
-use dmi_core::tokens;
+use dmi_core::screen::{full_tree_prompt_tokens, label_screen, LabeledScreen};
 use dmi_gui::Session;
 use dmi_llm::{FailureCause, GuiStep, SimLlm};
-use dmi_uia::Snapshot;
 
 /// Fixed prompt cost of the GUI system prompt (instructions, few-shot).
 pub const GUI_BASE_PROMPT_TOKENS: usize = 900;
@@ -33,10 +31,8 @@ pub struct GuiRunResult {
     pub completed: bool,
 }
 
-fn observe(session: &mut Session) -> (std::sync::Arc<Snapshot>, LabeledScreen) {
-    let snap = session.snapshot();
-    let screen = label_screen(&snap);
-    (snap, screen)
+fn observe(session: &mut Session) -> LabeledScreen {
+    label_screen(&session.snapshot())
 }
 
 /// The resumable AppAgent loop state: the prepared plan plus the cursor
@@ -85,11 +81,11 @@ impl GuiState {
                 completed: false,
             });
         }
-        let (snap, screen) = observe(session);
+        let screen = observe(session);
         // The baseline observation carries the full exposed accessibility
         // tree (§5.1), not just the on-screen subset.
         let prompt = GUI_BASE_PROMPT_TOKENS
-            + tokens::count(&dmi_core::screen::full_tree_prompt_text(&snap))
+            + full_tree_prompt_tokens(screen.snapshot())
             + self.forest_tokens;
 
         // Plan an action sequence: the maximal prefix of remaining actions
@@ -135,9 +131,9 @@ impl GuiState {
                     // re-orientation round trip (observe the damage), and
                     // retry the same action next turn.
                     let _ = session.press("Esc");
-                    let (snap, _) = observe(session);
+                    let snap = session.snapshot();
                     let prompt = GUI_BASE_PROMPT_TOKENS
-                        + tokens::count(&dmi_core::screen::full_tree_prompt_text(&snap))
+                        + full_tree_prompt_tokens(&snap)
                         + self.forest_tokens;
                     llm.record_call(prompt, 20);
                     break;
@@ -197,7 +193,7 @@ enum Exec {
 }
 
 fn execute_step(session: &mut Session, llm: &mut SimLlm, step: &GuiStep) -> Exec {
-    let (_snap, screen) = observe(session);
+    let screen = observe(session);
     match step {
         GuiStep::Click(q) => click_with_grounding(session, llm, &screen, q, None),
         GuiStep::ClickAndType { target, text } => {
@@ -209,10 +205,10 @@ fn execute_step(session: &mut Session, llm: &mut SimLlm, step: &GuiStep) -> Exec
         },
         GuiStep::DragScrollbarTo { name, percent } => {
             let q = dmi_llm::TargetQuery::name(name.clone());
-            let Some((_, entry)) = ground(&screen, &q) else {
+            let Some(entry) = ground(&screen, &q) else {
                 return Exec::Stale;
             };
-            let r = entry.rect;
+            let r = entry.rect();
             let pct = if llm.sample_composite_error() {
                 // Misjudged drop point: off by a visually plausible margin.
                 let off = if llm.coin() { 30.0 } else { -30.0 };
@@ -236,10 +232,10 @@ fn execute_step(session: &mut Session, llm: &mut SimLlm, step: &GuiStep) -> Exec
         }
         GuiStep::DragSelectLines { surface, start, end } => {
             let q = dmi_llm::TargetQuery::name(surface.clone());
-            let Some((_, entry)) = ground(&screen, &q) else {
+            let Some(entry) = ground(&screen, &q) else {
                 return Exec::Stale;
             };
-            let r = entry.rect;
+            let r = entry.rect();
             let (mut s, mut e) = (*start, *end);
             if llm.sample_composite_error() {
                 // Off-by-one row on either end (precise coordinates are
@@ -282,17 +278,17 @@ fn click_with_grounding(
     q: &dmi_llm::TargetQuery,
     text: Option<&str>,
 ) -> Exec {
-    let Some((idx, _)) = ground(screen, q) else {
+    let Some(idx) = ground(screen, q).map(|e| e.ordinal()) else {
         return Exec::Stale;
     };
     let target_idx = if llm.sample_grounding_error() {
         // Visual mis-grounding: a different visible control is clicked.
-        llm.wrong_index(screen.entries.len(), idx)
+        llm.wrong_index(screen.len(), idx)
     } else {
         idx
     };
-    let entry = &screen.entries[target_idx];
-    let wid = session.widget_of(entry.runtime);
+    let entry = screen.get(target_idx).expect("wrong_index stays on screen");
+    let wid = session.widget_of(entry.runtime());
     let click = session.click(wid);
     if target_idx != idx {
         // Wrong control was activated; can the model tell?

@@ -1,14 +1,26 @@
 //! Criterion micro-benchmarks for the online interfaces: command parsing,
-//! path resolution, fuzzy matching, screen labeling, and visit execution.
+//! path resolution, fuzzy matching, screen labeling, visit execution,
+//! and one agent observation on the full Excel main window (`prompt/`).
+//!
+//! The `prompt/string_*` benchmarks preserve the string-building
+//! observation path — a `format!`-rendered prompt counted with
+//! `tokens::count`, a labeled screen copying three strings per entry,
+//! and unbounded grounding — so the zero-copy path is measured against
+//! it inside one binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use dmi_agent::grounding::{ground, GROUNDING_SIMILARITY};
 use dmi_core::interface::{control_path, parse_commands};
 use dmi_core::ripper::{rip, RipConfig};
+use dmi_core::screen::{alpha_label, full_tree_prompt_tokens};
 use dmi_core::topology::{build_forest, decycle, Forest, ForestConfig};
-use dmi_core::{label_screen, DescribeConfig, Dmi};
+use dmi_core::{label_screen, tokens, DescribeConfig, Dmi};
 use dmi_gui::Session;
-use dmi_uia::FuzzyMatcher;
-use std::sync::OnceLock;
+use dmi_llm::TargetQuery;
+use dmi_uia::ident::string_similarity;
+use dmi_uia::{ControlType, FuzzyMatcher, Snapshot};
+use std::hint::black_box;
+use std::sync::{Arc, OnceLock};
 
 fn word_forest() -> &'static Forest {
     static F: OnceLock<Forest> = OnceLock::new();
@@ -78,12 +90,121 @@ fn bench_visit(c: &mut Criterion) {
     group.finish();
 }
 
+/// The string-building full-tree prompt: one `format!` and one label
+/// `String` per node.
+fn string_full_tree_prompt_text(snap: &Snapshot) -> String {
+    let mut out = String::new();
+    for (i, node) in snap.iter() {
+        let p = &node.props;
+        out.push_str(&format!(
+            "{}: {}({}){}{}\n",
+            alpha_label(i),
+            p.name,
+            p.control_type.as_str(),
+            if p.value.is_empty() { String::new() } else { format!(" = '{}'", p.value) },
+            if p.offscreen { " [offscreen]" } else { "" },
+        ));
+    }
+    out
+}
+
+/// The string-copying labeled screen entry. Label and value are copied
+/// as the string path did, but only grounding reads the entries here.
+#[allow(dead_code)]
+struct StringEntry {
+    label: String,
+    name: String,
+    control_type: ControlType,
+    value: String,
+}
+
+fn string_label_screen(snap: &Snapshot) -> Vec<StringEntry> {
+    let mut entries = Vec::new();
+    for (_, node) in snap.iter() {
+        if node.props.offscreen {
+            continue;
+        }
+        entries.push(StringEntry {
+            label: alpha_label(entries.len()),
+            name: node.props.name.clone(),
+            control_type: node.props.control_type,
+            value: node.props.value.clone(),
+        });
+    }
+    entries
+}
+
+/// Unbounded grounding: Levenshtein similarity against every entry.
+fn string_ground(entries: &[StringEntry], q: &str) -> Option<usize> {
+    let mut best: Option<(usize, f64, bool)> = None;
+    for (i, e) in entries.iter().enumerate() {
+        let clickable = dmi_core::interface::is_clickable(e.control_type);
+        let s = if e.name == q { 1.0 } else { string_similarity(&e.name, q) };
+        if s < GROUNDING_SIMILARITY {
+            continue;
+        }
+        if best.is_none_or(|(_, bs, bc)| (clickable, s) > (bc, bs)) {
+            best = Some((i, s, clickable));
+        }
+    }
+    best.map(|(i, _, _)| i)
+}
+
+fn bench_prompt(c: &mut Criterion) {
+    let mut s = Session::new(dmi_apps::AppKind::Excel.launch());
+    let snap: Arc<Snapshot> = s.snapshot();
+    let screen = label_screen(&snap);
+    let entries = string_label_screen(&snap);
+    assert_eq!(
+        full_tree_prompt_tokens(&snap),
+        tokens::count(&string_full_tree_prompt_text(&snap)),
+        "streaming count must equal the string path's"
+    );
+    // Exact (a ribbon button), near (a trailing-space variant) and miss.
+    let queries = [("exact", "Bold"), ("near", "Font Color "), ("miss", "Quantum Flux Capacitor")];
+    for (_, q) in queries {
+        let want = string_ground(&entries, q);
+        assert_eq!(ground(&screen, &TargetQuery::name(q)).map(|e| e.ordinal()), want, "{q:?}");
+    }
+    println!(
+        "prompt: full Excel main window, {} nodes, {} on screen, {} full-tree prompt tokens",
+        snap.len(),
+        screen.len(),
+        full_tree_prompt_tokens(&snap)
+    );
+
+    let mut group = c.benchmark_group("prompt");
+    group.bench_function("string_full_tree_text_count", |b| {
+        b.iter(|| black_box(tokens::count(&string_full_tree_prompt_text(black_box(&snap)))))
+    });
+    group.bench_function("full_tree_tokens", |b| {
+        b.iter(|| black_box(full_tree_prompt_tokens(black_box(&snap))))
+    });
+    group.bench_function("string_label_screen", |b| {
+        b.iter(|| black_box(string_label_screen(black_box(&snap)).len()))
+    });
+    group.bench_function("label_screen", |b| {
+        b.iter(|| black_box(label_screen(black_box(&snap)).len()))
+    });
+    for (kind, q) in queries {
+        let tq = TargetQuery::name(q);
+        group.bench_function(&format!("string_ground_{kind}"), |b| {
+            b.iter(|| black_box(string_ground(black_box(&entries), q)))
+        });
+        group.bench_function(&format!("ground_{kind}"), |b| {
+            b.iter(|| black_box(ground(black_box(&screen), &tq).map(|e| e.ordinal())))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_parse,
     bench_control_path,
     bench_fuzzy,
     bench_label_screen,
-    bench_visit
+    bench_visit,
+    bench_prompt
 );
 criterion_main!(benches);

@@ -12,6 +12,7 @@
 
 use crate::error::{DmiError, DmiResult};
 use crate::screen::LabeledScreen;
+use crate::tokens::{Counter, Sink};
 use dmi_gui::Session;
 use dmi_uia::{ControlType, PatternKind, Snapshot};
 
@@ -53,25 +54,44 @@ pub struct PassiveTexts {
 }
 
 impl PassiveTexts {
-    /// Renders for the prompt: one compact line per item plus coalescing
-    /// markers.
-    pub fn to_prompt_text(&self) -> String {
-        let mut out = String::from("#data-items\n");
+    /// One compact line per item plus coalescing markers.
+    fn render<S: Sink>(&self, out: &mut S) {
+        out.put("#data-items\n");
         for it in &self.items {
-            out.push_str(&format!(
-                "{}='{}'{}\n",
-                it.name,
-                it.text,
-                if it.truncated { "…" } else { "" }
-            ));
+            out.put(&it.name);
+            out.put("='");
+            out.put(&it.text);
+            out.put("'");
+            if it.truncated {
+                out.put("…");
+            }
+            out.put("\n");
         }
         if self.empty_coalesced > 0 {
-            out.push_str(&format!("({} empty items coalesced)\n", self.empty_coalesced));
+            out.put("(");
+            out.put_usize(self.empty_coalesced);
+            out.put(" empty items coalesced)\n");
         }
         if self.overflow > 0 {
-            out.push_str(&format!("({} more items; use get_texts active mode)\n", self.overflow));
+            out.put("(");
+            out.put_usize(self.overflow);
+            out.put(" more items; use get_texts active mode)\n");
         }
+    }
+
+    /// Renders for the prompt.
+    pub fn to_prompt_text(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out);
         out
+    }
+
+    /// Token cost of [`PassiveTexts::to_prompt_text`], counted without
+    /// rendering the text.
+    pub fn prompt_tokens(&self) -> usize {
+        let mut c = Counter::new();
+        self.render(&mut c);
+        c.finish()
     }
 }
 
@@ -115,9 +135,9 @@ pub fn get_texts_active(
         }
         let e =
             screen.resolve(l).ok_or_else(|| DmiError::LabelNotFound { label: l.to_string() })?;
-        if !e.patterns.supports(PatternKind::Value) && !e.patterns.supports(PatternKind::Text) {
+        if !e.patterns().supports(PatternKind::Value) && !e.patterns().supports(PatternKind::Text) {
             return Err(DmiError::PatternUnsupported {
-                name: e.name.clone(),
+                name: e.name().to_string(),
                 pattern: "TextPattern".into(),
             });
         }
@@ -126,8 +146,8 @@ pub fn get_texts_active(
     Ok(resolved
         .into_iter()
         .map(|e| {
-            let wid = session.widget_of(e.runtime);
-            TextItem { name: e.name.clone(), text: session.get_text(wid), truncated: false }
+            let wid = session.widget_of(e.runtime());
+            TextItem { name: e.name().to_string(), text: session.get_text(wid), truncated: false }
         })
         .collect())
 }
@@ -149,6 +169,7 @@ mod tests {
         assert!(p.empty_coalesced > 20, "blank cells coalesced: {}", p.empty_coalesced);
         let text = p.to_prompt_text();
         assert!(text.contains("empty items coalesced"));
+        assert_eq!(p.prompt_tokens(), crate::tokens::count(&text));
     }
 
     #[test]
@@ -167,6 +188,9 @@ mod tests {
         let item = p.items.iter().find(|i| i.name == "A5").unwrap();
         assert!(item.truncated);
         assert_eq!(item.text.chars().count(), 16);
+        let text = p.to_prompt_text();
+        assert!(text.contains("A5='a very long cell'…\n"), "{text}");
+        assert_eq!(p.prompt_tokens(), crate::tokens::count(&text));
     }
 
     #[test]
@@ -180,7 +204,7 @@ mod tests {
         }
         let snap = s.snapshot();
         let screen = label_screen(&snap);
-        let label = screen.find_by_name("A5").unwrap().label.clone();
+        let label = screen.find_by_name("A5").unwrap().label();
         let items = get_texts_active(&s, &screen, &[&label]).unwrap();
         assert_eq!(items[0].text, "full untruncated content here");
         assert!(!items[0].truncated);
@@ -195,7 +219,7 @@ mod tests {
         };
         let (s, snap) = s_snap;
         let screen = label_screen(&snap);
-        let good = screen.find_by_name("A1").unwrap().label.clone();
+        let good = screen.find_by_name("A1").unwrap().label();
         let err = get_texts_active(&s, &screen, &[&good, "NOPE"]).unwrap_err();
         assert!(matches!(err, DmiError::LabelNotFound { .. }));
         let err = get_texts_active(&s, &screen, &["123"]).unwrap_err();

@@ -7,7 +7,7 @@
 //! executed (§4.4). On success a structured status is returned.
 
 use crate::error::{DmiError, DmiResult};
-use crate::screen::LabeledScreen;
+use crate::screen::{LabeledScreen, ScreenEntry};
 use dmi_gui::Session;
 use dmi_uia::{PatternKind, RuntimeId};
 
@@ -18,14 +18,11 @@ pub struct StateReport {
     pub status: String,
 }
 
-fn resolve(screen: &LabeledScreen, label: &str) -> DmiResult<RuntimeId> {
+fn resolve<'a>(screen: &'a LabeledScreen, label: &str) -> DmiResult<ScreenEntry<'a>> {
     if label.chars().all(|c| c.is_ascii_digit()) && !label.is_empty() {
         return Err(DmiError::StaticIdProhibited { label: label.to_string() });
     }
-    screen
-        .resolve(label)
-        .map(|e| e.runtime)
-        .ok_or_else(|| DmiError::LabelNotFound { label: label.to_string() })
+    screen.resolve(label).ok_or_else(|| DmiError::LabelNotFound { label: label.to_string() })
 }
 
 fn require_pattern(
@@ -33,15 +30,14 @@ fn require_pattern(
     label: &str,
     pattern: PatternKind,
 ) -> DmiResult<RuntimeId> {
-    let rt = resolve(screen, label)?;
-    let entry = screen.entries.iter().find(|e| e.runtime == rt).expect("resolved entry");
-    if !entry.patterns.supports(pattern) {
+    let entry = resolve(screen, label)?;
+    if !entry.patterns().supports(pattern) {
         return Err(DmiError::PatternUnsupported {
-            name: entry.name.clone(),
+            name: entry.name().to_string(),
             pattern: pattern.as_str().to_string(),
         });
     }
-    Ok(rt)
+    Ok(entry.runtime())
 }
 
 /// `set_scrollbar_pos(y_percent)` on a scrollbar or scrollable container
@@ -52,13 +48,12 @@ pub fn set_scrollbar_pos(
     label: &str,
     y_percent: f64,
 ) -> DmiResult<StateReport> {
-    let rt = resolve(screen, label)?;
-    let entry = screen.entries.iter().find(|e| e.runtime == rt).expect("resolved entry");
-    if !entry.patterns.supports(PatternKind::Scroll)
-        && !entry.patterns.supports(PatternKind::RangeValue)
+    let entry = resolve(screen, label)?;
+    if !entry.patterns().supports(PatternKind::Scroll)
+        && !entry.patterns().supports(PatternKind::RangeValue)
     {
         return Err(DmiError::PatternUnsupported {
-            name: entry.name.clone(),
+            name: entry.name().to_string(),
             pattern: "ScrollPattern".into(),
         });
     }
@@ -67,9 +62,9 @@ pub fn set_scrollbar_pos(
             message: format!("scroll percent {y_percent} outside 0..=100"),
         });
     }
-    let wid = session.widget_of(rt);
+    let wid = session.widget_of(entry.runtime());
     session.scroll_to(wid, y_percent).map_err(DmiError::from)?;
-    Ok(StateReport { status: format!("scrollbar '{}' at {y_percent:.0}%", entry.name) })
+    Ok(StateReport { status: format!("scrollbar '{}' at {y_percent:.0}%", entry.name()) })
 }
 
 /// `select_lines(start, end)` on a text surface (TextPattern).
@@ -187,7 +182,7 @@ mod tests {
         let mut s = word_session();
         let snap = s.snapshot();
         let screen = label_screen(&snap);
-        let sb = screen.find_by_name("Vertical Scroll Bar").unwrap().label.clone();
+        let sb = screen.find_by_name("Vertical Scroll Bar").unwrap().label();
         let r = set_scrollbar_pos(&mut s, &screen, &sb, 100.0).unwrap();
         assert!(r.status.contains("100"));
         // The document scrolled: the last paragraph is now on screen.
@@ -201,7 +196,7 @@ mod tests {
         let mut s = word_session();
         let snap = s.snapshot();
         let screen = label_screen(&snap);
-        let doc = screen.find_by_name("Document").unwrap().label.clone();
+        let doc = screen.find_by_name("Document").unwrap().label();
         select_lines(&mut s, &screen, &doc, 3, 5).unwrap();
         let w = s.app().as_any().downcast_ref::<dmi_apps::WordApp>().unwrap();
         let sel = w.doc.selection.unwrap();
@@ -213,10 +208,10 @@ mod tests {
         let mut s = Session::new(AppKind::PowerPoint.launch_small());
         let snap = s.snapshot();
         let screen = label_screen(&snap);
-        let s1 = screen.find_by_name("Slide 1").unwrap().label.clone();
+        let s1 = screen.find_by_name("Slide 1").unwrap().label();
         // "Bold" is a Button without SelectionItem: whole call must fail
         // without selecting Slide 1.
-        let bold = screen.find_by_name("Bold").unwrap().label.clone();
+        let bold = screen.find_by_name("Bold").unwrap().label();
         let err = select_controls(&mut s, &screen, &[&s1, &bold]).unwrap_err();
         assert!(matches!(err, DmiError::PatternUnsupported { .. }));
         // Single valid selection works.
@@ -232,7 +227,7 @@ mod tests {
         s.select_lines(surf, 0, 0).unwrap();
         let snap = s.snapshot();
         let screen = label_screen(&snap);
-        let bold = screen.find_by_name("Bold").unwrap().label.clone();
+        let bold = screen.find_by_name("Bold").unwrap().label();
         set_toggle_state(&mut s, &screen, &bold, true).unwrap();
         set_toggle_state(&mut s, &screen, &bold, true).unwrap();
         let w = s.app().as_any().downcast_ref::<dmi_apps::WordApp>().unwrap();
@@ -253,7 +248,7 @@ mod tests {
         let mut s = Session::new(AppKind::Excel.launch_small());
         let snap = s.snapshot();
         let screen = label_screen(&snap);
-        let nb = screen.find_by_name("Name Box").unwrap().label.clone();
+        let nb = screen.find_by_name("Name Box").unwrap().label();
         set_texts(&mut s, &screen, &nb, "D4").unwrap();
         let excel = s.app().as_any().downcast_ref::<dmi_apps::ExcelApp>().unwrap();
         let nb_id = excel.name_box();

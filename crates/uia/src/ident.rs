@@ -395,6 +395,17 @@ pub fn string_similarity_bounded(a: &str, b: &str, floor: f64) -> f64 {
     if a == b {
         return 1.0;
     }
+    // ASCII lowercasing keeps lengths, so for ASCII pairs the cheap
+    // outcomes (case-only match, empty side, length bound) are decided
+    // on the raw strings, before any lowercased copy is built.
+    if a.is_ascii() && b.is_ascii() {
+        if a.eq_ignore_ascii_case(b) {
+            return 0.97;
+        }
+        if a.is_empty() || b.is_empty() || similarity_upper_bound(a.len(), b.len()) < floor {
+            return 0.0;
+        }
+    }
     SIM_SCRATCH.with(|scratch| {
         let s = &mut *scratch.borrow_mut();
         s.al.clear();
@@ -409,11 +420,7 @@ pub fn string_similarity_bounded(a: &str, b: &str, floor: f64) -> f64 {
         }
         let (la, lb) = (s.al.len(), s.bl.len());
         let max_len = la.max(lb);
-        // d >= |la - lb|, so base <= base_bound; the prefix bonus can add
-        // at most 0.25 (capped at 0.95).
-        let base_bound = 1.0 - la.abs_diff(lb) as f64 / max_len as f64;
-        let upper = base_bound.max((base_bound + 0.25).min(0.95));
-        if upper < floor {
+        if similarity_upper_bound(la, lb) < floor {
             return 0.0;
         }
         // Prefix containment: "Go To" vs "Go To…" or "Next" renamed
@@ -427,6 +434,15 @@ pub fn string_similarity_bounded(a: &str, b: &str, floor: f64) -> f64 {
             base
         }
     })
+}
+
+/// An upper bound on the similarity of two different, non-empty
+/// lowercased strings of `la` and `lb` characters: the edit distance is
+/// at least `|la - lb|`, and the prefix bonus adds at most 0.25 (capped
+/// at 0.95).
+fn similarity_upper_bound(la: usize, lb: usize) -> f64 {
+    let base_bound = 1.0 - la.abs_diff(lb) as f64 / la.max(lb) as f64;
+    base_bound.max((base_bound + 0.25).min(0.95))
 }
 
 /// Similarity of two slash-delimited ancestor paths: fraction of matching

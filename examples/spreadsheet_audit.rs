@@ -7,6 +7,7 @@
 //! ```
 
 use dmi_core::interface::observe::{get_texts_active, get_texts_passive, PassiveConfig};
+use dmi_core::screen::Label;
 use dmi_core::{label_screen, Dmi, DmiBuildConfig};
 use dmi_gui::Session;
 
@@ -26,9 +27,9 @@ fn main() {
 
     // Active mode: full content of specific cells by on-screen label.
     let screen = label_screen(&snap);
-    let labels: Vec<String> = ["D2", "D3", "D4"]
+    let labels: Vec<Label> = ["D2", "D3", "D4"]
         .iter()
-        .filter_map(|n| screen.find_by_name(n).map(|e| e.label.clone()))
+        .filter_map(|n| screen.find_by_name(n).map(|e| e.label()))
         .collect();
     let refs: Vec<&str> = labels.iter().map(|l| l.as_str()).collect();
     let items = get_texts_active(&s, &screen, &refs).expect("cells readable");

@@ -126,3 +126,32 @@ fn ablation_differs_from_baseline_only_in_prompt_and_policy() {
     // And does not *hurt* the small model's success rate.
     assert!(a_abl.sr >= a_base.sr - 0.1, "{} vs {}", a_abl.sr, a_base.sr);
 }
+
+/// Totals of the 27-task suite per interface mode and seed, pinned to
+/// the figures the string-rendering observation path produced: the
+/// streaming token count, the zero-copy labeled screen and the pruned
+/// grounding must charge every prompt the same tokens and take every
+/// run down the same path. (The serve-vs-sequential oracle cannot catch
+/// such a drift: both of its sides run the same observation code.)
+#[test]
+fn suite_prompt_tokens_calls_and_successes_are_pinned() {
+    // (mode, seed, prompt tokens, LLM calls, successes)
+    let pins: [(InterfaceMode, u64, usize, usize, usize); 6] = [
+        (InterfaceMode::GuiOnly, 3, 318883, 211, 12),
+        (InterfaceMode::GuiOnly, 11, 318937, 210, 9),
+        (InterfaceMode::GuiPlusForest, 3, 4595845, 225, 11),
+        (InterfaceMode::GuiPlusForest, 11, 5283575, 249, 9),
+        (InterfaceMode::GuiPlusDmi, 3, 1149146, 115, 17),
+        (InterfaceMode::GuiPlusDmi, 11, 1221539, 118, 22),
+    ];
+    for (mode, seed, tokens, calls, successes) in pins {
+        let traces = run_suite(CapabilityProfile::gpt5_medium(), mode, &[seed]);
+        assert_eq!(traces.len(), 27);
+        let got = (
+            traces.iter().map(|t| t.prompt_tokens).sum::<usize>(),
+            traces.iter().map(|t| t.llm_calls).sum::<usize>(),
+            traces.iter().filter(|t| t.success).count(),
+        );
+        assert_eq!(got, (tokens, calls, successes), "{mode:?} seed {seed}");
+    }
+}

@@ -4,7 +4,7 @@ use dmi_apps::model::sheet::{Addr, Range};
 use dmi_core::graph::{ung_from_parts, Ung, UngNode};
 use dmi_core::tokens;
 use dmi_core::topology::{build_forest, decycle, is_acyclic, ForestConfig};
-use dmi_uia::ident::{levenshtein, path_similarity, string_similarity};
+use dmi_uia::ident::{levenshtein, path_similarity, string_similarity, string_similarity_bounded};
 use dmi_uia::{ControlId, ControlType};
 use proptest::prelude::*;
 
@@ -96,6 +96,26 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&s));
         let p = path_similarity(&a, &b);
         prop_assert!((0.0..=1.0).contains(&p));
+    }
+
+    #[test]
+    fn bounded_similarity_is_exact_at_or_above_its_floor(
+        a in "[abAB .…ÄäK]{0,8}",
+        b in "[abAB .…ÄäK]{0,8}",
+        ascii_a in "[a-cA-C .]{0,12}",
+        ascii_b in "[a-cA-C .]{0,12}",
+        percent in 0u32..101,
+    ) {
+        let floor = f64::from(percent) / 100.0;
+        for (a, b) in [(&a, &b), (&ascii_a, &ascii_b), (&a, &ascii_b)] {
+            let exact = string_similarity(a, b);
+            let bounded = string_similarity_bounded(a, b, floor);
+            if exact >= floor {
+                prop_assert_eq!(bounded, exact);
+            } else {
+                prop_assert!(bounded < floor);
+            }
+        }
     }
 
     #[test]

@@ -101,8 +101,8 @@ fn screen_labels_follow_live_names() {
     // The provider-side names are unperturbed; screen labels expose the
     // varied ones, so label-based interfaces keep working regardless.
     assert!(!screen.is_empty());
-    for e in &screen.entries {
-        assert!(!e.label.is_empty());
+    for e in screen.entries() {
+        assert!(!e.label().is_empty());
     }
 }
 
