@@ -1,33 +1,32 @@
 //! Persistence benchmarks: the binary store codec against the JSON
-//! baseline, disk round trips, and incremental re-rips over a stored
-//! journal.
+//! baseline, disk round trips, and the build diff over stored UNGs.
 //!
 //! - `store/encode_rip` / `store/decode_rip`: in-memory codec cost for a
-//!   full Word rip artifact (UNG + journal + stats + pristine sigs).
+//!   full Word rip artifact (UNG + stats + pristine sigs).
 //! - `store/json_encode_ung`: the serde-JSON baseline the codec is
 //!   measured against (UNG only — the binary artifact carries strictly
 //!   more and must still be smaller).
 //! - `store/save_load_rip`: the on-disk round trip through [`Store`].
-//! - `store/rip_cold_v1` vs `store/rip_incremental_v1`: a cold rip of
-//!   Word v1 against a journal-driven incremental re-rip over the stored
-//!   v0 journal (byte-identical output, release-gated in tests/store.rs).
+//! - `store/ung_diff_v0_v1`: `Ung::diff` of the stored Word v0 UNG
+//!   against a rip of Word v1 (set-exact, release-gated in
+//!   tests/store.rs).
 //!
 //! The one-shot `store Word:` line (printed outside the timed loops)
-//! reports artifact size vs JSON, save/load wall ms, the fraction of v1
-//! explorations confirmed from the v0 journal, and the warm-pool hit
-//! rate of a same-build re-rip booted from the stored capture export.
+//! reports artifact size vs JSON, save/load wall ms, the node and edge
+//! change counts of the v0 -> v1 delta, and the warm-pool hit rate of a
+//! same-build re-rip booted from the stored capture export.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dmi_apps::AppKind;
 use dmi_bench::report;
-use dmi_core::RipConfig;
+use dmi_core::{RipConfig, Ung};
 use dmi_gui::Session;
 use dmi_store::{StoredCaptures, StoredRip};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// The stored Word v0 artifacts, recorded once: a journaled rip and the
-/// donor session's capture-pool export.
+/// The stored Word v0 artifacts, recorded once: a rip and the donor
+/// session's capture-pool export.
 fn word_fixture() -> &'static (StoredRip, StoredCaptures) {
     static FX: OnceLock<(StoredRip, StoredCaptures)> = OnceLock::new();
     FX.get_or_init(|| {
@@ -36,6 +35,15 @@ fn word_fixture() -> &'static (StoredRip, StoredCaptures) {
         let rip = dmi_store::record_rip("Word", &mut s, &RipConfig::office("Word"));
         let caps = dmi_store::export_captures("Word", &mut s);
         (rip, caps)
+    })
+}
+
+/// A rip of Word v1, the other side of the build diff.
+fn word_v1() -> &'static Ung {
+    static G: OnceLock<Ung> = OnceLock::new();
+    G.get_or_init(|| {
+        let mut s = Session::new(AppKind::Word.launch_small_version(1));
+        dmi_core::ripper::rip(&mut s, &RipConfig::office("Word")).0
     })
 }
 
@@ -62,21 +70,22 @@ fn report_store_once() {
         let loaded = store.load_rip("Word").expect("load rip");
         let load_ms = t.elapsed().as_secs_f64() * 1e3;
 
-        // Cross-version: how much of v1's exploration the v0 journal
-        // confirms.
-        let mut v1 = Session::new(AppKind::Word.launch_small_version(1));
-        let (_, _, inc) = dmi_store::rip_incremental(&mut v1, &RipConfig::office("Word"), &loaded);
+        // Cross-version: what the v1 build changed in the stored graph.
+        let delta = Ung::diff(&loaded.ung, word_v1());
+        let node_changes =
+            delta.nodes_added.len() + delta.nodes_removed.len() + delta.nodes_relabelled.len();
+        let edge_changes = delta.edges_added.len() + delta.edges_removed.len();
 
         // Same-build warm boot: re-rip v0 with the pool seeded from the
         // stored capture export.
         let mut warm = Session::new(AppKind::Word.launch_small_version(0));
         warm.set_capture_pool(Some(dmi_store::recording_pool()));
         dmi_store::warm_session(&store, "Word", &mut warm).expect("warm session");
-        let (_, warm_stats, warm_inc) =
-            dmi_store::rip_incremental(&mut warm, &RipConfig::office("Word"), &loaded);
+        let warm_hits_before = warm.capture_stats().pool_warm_hits;
+        let (_, warm_stats) = dmi_core::ripper::rip(&mut warm, &RipConfig::office("Word"));
+        let warm_hits = warm.capture_stats().pool_warm_hits - warm_hits_before;
         let probes = warm_stats.pool_hits + warm_stats.pool_misses;
-        let warm_rate =
-            if probes == 0 { 0.0 } else { warm_inc.pool_warm_hits as f64 / probes as f64 };
+        let warm_rate = if probes == 0 { 0.0 } else { warm_hits as f64 / probes as f64 };
 
         eprintln!(
             "{}",
@@ -86,7 +95,8 @@ fn report_store_once() {
                 json_bytes,
                 save_ms,
                 load_ms,
-                inc.confirm_rate(),
+                node_changes,
+                edge_changes,
                 warm_rate,
             )
         );
@@ -127,23 +137,11 @@ fn bench_store(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("rip_cold_v1", |b| {
-        report_store_once();
-        b.iter(|| {
-            let mut s = Session::new(AppKind::Word.launch_small_version(1));
-            let (g, _) = dmi_core::ripper::rip(&mut s, &RipConfig::office("Word"));
-            black_box(g.node_count())
-        })
-    });
-
-    group.bench_function("rip_incremental_v1", |b| {
+    group.bench_function("ung_diff_v0_v1", |b| {
         report_store_once();
         let (rip, _) = word_fixture();
-        b.iter(|| {
-            let mut s = Session::new(AppKind::Word.launch_small_version(1));
-            let (g, _, _) = dmi_store::rip_incremental(&mut s, &RipConfig::office("Word"), rip);
-            black_box(g.node_count())
-        })
+        let v1 = word_v1();
+        b.iter(|| black_box(Ung::diff(&rip.ung, v1).nodes_added.len()))
     });
 
     group.finish();

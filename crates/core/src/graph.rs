@@ -29,6 +29,34 @@ pub struct UngNode {
 pub type UngRawParts<'a> =
     (&'a [UngNode], &'a [Vec<UngNodeId>], &'a [Vec<UngNodeId>], UngNodeId, usize);
 
+/// What changed between two UNGs, keyed by [`ControlId`] (see
+/// [`Ung::diff`]). A report, not a patch: nothing applies it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct UngDelta {
+    /// Controls only in the new graph, in the new graph's id order.
+    pub nodes_added: Vec<ControlId>,
+    /// Controls only in the old graph, in the old graph's id order.
+    pub nodes_removed: Vec<ControlId>,
+    /// Controls in both graphs whose `name` or `help_text` changed, in the
+    /// old graph's id order.
+    pub nodes_relabelled: Vec<ControlId>,
+    /// Edges only in the new graph, by source id then adjacency order.
+    pub edges_added: Vec<(ControlId, ControlId)>,
+    /// Edges only in the old graph, by source id then adjacency order.
+    pub edges_removed: Vec<(ControlId, ControlId)>,
+}
+
+impl UngDelta {
+    /// Whether the two graphs hold the same controls, labels and edges.
+    pub fn is_empty(&self) -> bool {
+        self.nodes_added.is_empty()
+            && self.nodes_removed.is_empty()
+            && self.nodes_relabelled.is_empty()
+            && self.edges_added.is_empty()
+            && self.edges_removed.is_empty()
+    }
+}
+
 /// The UI Navigation Graph.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Ung {
@@ -148,6 +176,59 @@ impl Ung {
     /// Like [`Ung::find`] with the fingerprint already in hand.
     pub fn find_with_key(&self, control: &ControlId, key: ControlKey) -> Option<UngNodeId> {
         self.index.get(&key)?.iter().find(|&&id| self.nodes[id].control == *control).copied()
+    }
+
+    /// The delta from `old` to `new`: nodes and edges matched by
+    /// [`ControlId`] through the keyed [`Ung::find`], so both graphs need
+    /// their dedup index (every constructor but serde deserialization
+    /// builds it; see [`Ung::rebuild_index`]).
+    pub fn diff(old: &Ung, new: &Ung) -> UngDelta {
+        let to_new: Vec<Option<UngNodeId>> =
+            old.nodes.iter().map(|n| new.find(&n.control)).collect();
+        let mut to_old = vec![None; new.nodes.len()];
+        for (u, v) in to_new.iter().enumerate() {
+            if let Some(v) = *v {
+                to_old[v] = Some(u);
+            }
+        }
+        // Edges of `from` whose endpoints or link are missing in `to`.
+        let lost = |from: &Ung, to: &Ung, map: &[Option<UngNodeId>]| {
+            let mut out = Vec::new();
+            for (u, outs) in from.succ.iter().enumerate() {
+                for &v in outs {
+                    let kept = match (map[u], map[v]) {
+                        (Some(a), Some(b)) => to.succ[a].contains(&b),
+                        _ => false,
+                    };
+                    if !kept {
+                        out.push((from.nodes[u].control.clone(), from.nodes[v].control.clone()));
+                    }
+                }
+            }
+            out
+        };
+        let mut d = UngDelta::default();
+        for (was, v) in old.nodes.iter().zip(&to_new) {
+            match *v {
+                None => d.nodes_removed.push(was.control.clone()),
+                Some(v) => {
+                    let now = &new.nodes[v];
+                    if now.name != was.name || now.help_text != was.help_text {
+                        d.nodes_relabelled.push(was.control.clone());
+                    }
+                }
+            }
+        }
+        d.nodes_added = new
+            .nodes
+            .iter()
+            .zip(&to_old)
+            .filter(|(_, o)| o.is_none())
+            .map(|(n, _)| n.control.clone())
+            .collect();
+        d.edges_added = lost(new, old, &to_old);
+        d.edges_removed = lost(old, new, &to_new);
+        d
     }
 
     /// Iterates over all node ids.
@@ -415,6 +496,122 @@ mod tests {
             1
         );
         assert_eq!(g2.node_count(), n, "re-add must dedup, not grow");
+    }
+
+    /// The `Ung::diff` oracle is set algebra: `old − removed ∪ added ==
+    /// new` over node ids and over edges (each removal present, each
+    /// addition fresh), and the relabels are exactly the shared ids whose
+    /// name or help text differ.
+    fn assert_delta_algebra(old: &Ung, new: &Ung, d: &UngDelta) {
+        use std::collections::HashSet;
+        let nodes = |g: &Ung| g.nodes.iter().map(|n| n.control.clone()).collect::<HashSet<_>>();
+        let edges = |g: &Ung| {
+            g.ids()
+                .flat_map(|u| g.successors(u).iter().map(move |&v| (u, v)))
+                .map(|(u, v)| (g.node(u).control.clone(), g.node(v).control.clone()))
+                .collect::<HashSet<_>>()
+        };
+        let mut n = nodes(old);
+        for c in &d.nodes_removed {
+            assert!(n.remove(c), "removed node {c:?} is not in old");
+        }
+        for c in &d.nodes_added {
+            assert!(n.insert(c.clone()), "added node {c:?} is already present");
+        }
+        assert_eq!(n, nodes(new), "old − removed ∪ added == new (nodes)");
+        let mut e = edges(old);
+        for pair in &d.edges_removed {
+            assert!(e.remove(pair), "removed edge {pair:?} is not in old");
+        }
+        for pair in &d.edges_added {
+            assert!(e.insert(pair.clone()), "added edge {pair:?} is already present");
+        }
+        assert_eq!(e, edges(new), "old − removed ∪ added == new (edges)");
+        let relabelled: Vec<&ControlId> = old
+            .nodes
+            .iter()
+            .filter(|a| {
+                new.find(&a.control).is_some_and(|v| {
+                    let b = new.node(v);
+                    a.name != b.name || a.help_text != b.help_text
+                })
+            })
+            .map(|a| &a.control)
+            .collect();
+        assert_eq!(d.nodes_relabelled.iter().collect::<Vec<_>>(), relabelled, "relabels");
+    }
+
+    #[test]
+    fn diff_reports_nodes_edges_and_relabels_in_id_order() {
+        // old: root->A, A->B, A->C; new drops C, gives A help text,
+        // renames B, adds D, and moves the A->B edge to D->B.
+        let old = ung_from_parts(
+            &[("A", CT::Button), ("B", CT::MenuItem), ("C", CT::Button)],
+            &[(0, 1), (0, 2)],
+        );
+        let mut new = ung_from_parts(&[("A", CT::Button), ("B", CT::MenuItem)], &[]);
+        let b = new.find(&old.node(2).control).unwrap();
+        new.nodes[1].help_text = "tip".into();
+        new.nodes[b].name = "B2".into();
+        let dn = new.add_node(UngNode {
+            control: ControlId {
+                primary: "D#9".into(),
+                control_type: CT::Button,
+                ancestor_path: String::new(),
+            },
+            name: "D".into(),
+            control_type: CT::Button,
+            help_text: String::new(),
+        });
+        new.add_edge(1, dn);
+        new.add_edge(dn, b);
+
+        let d = Ung::diff(&old, &new);
+        let id = |g: &Ung, i: UngNodeId| g.node(i).control.clone();
+        assert_eq!(d.nodes_added, vec![id(&new, dn)]);
+        assert_eq!(d.nodes_removed, vec![id(&old, 3)]);
+        assert_eq!(d.nodes_relabelled, vec![id(&old, 1), id(&old, 2)]);
+        assert_eq!(
+            d.edges_added,
+            vec![
+                (id(&new, 0), id(&new, 2)),
+                (id(&new, 1), id(&new, dn)),
+                (id(&new, dn), id(&new, b))
+            ]
+        );
+        assert_eq!(d.edges_removed, vec![(id(&old, 1), id(&old, 2)), (id(&old, 1), id(&old, 3))]);
+        assert!(!d.is_empty());
+        assert_delta_algebra(&old, &new, &d);
+        assert_delta_algebra(&new, &old, &Ung::diff(&new, &old));
+    }
+
+    #[test]
+    fn diff_of_a_graph_with_itself_is_empty() {
+        let g = ung_from_parts(&[("A", CT::Button), ("B", CT::MenuItem)], &[(0, 1)]);
+        assert!(Ung::diff(&g, &g).is_empty());
+        let (word, _) = crate::testutil::small_rip(dmi_apps::AppKind::Word);
+        assert!(Ung::diff(word, word).is_empty());
+    }
+
+    #[test]
+    fn word_v0_to_v1_diff_is_set_exact_and_pinned() {
+        use dmi_apps::AppKind;
+        let (v0, _) = crate::testutil::small_rip(AppKind::Word);
+        let mut s = dmi_gui::Session::new(AppKind::Word.launch_small_version(1));
+        let (v1, _) = crate::ripper::rip(&mut s, &crate::ripper::RipConfig::office("Word"));
+        let d = Ung::diff(v0, &v1);
+        assert_delta_algebra(v0, &v1, &d);
+        // Measured on v0 -> v1 (three more paragraphs): a diff or ripper
+        // change that moves these counts does different work.
+        assert_eq!(
+            (d.nodes_added.len(), d.nodes_removed.len(), d.nodes_relabelled.len()),
+            (3, 0, 0),
+            "node deltas"
+        );
+        assert_eq!((d.edges_added.len(), d.edges_removed.len()), (3, 0), "edge deltas");
+        let added: Vec<&str> = d.nodes_added.iter().map(|c| c.primary.as_str()).collect();
+        assert_eq!(added, ["Paragraph 12", "Paragraph 13", "Paragraph 14"]);
+        assert!(d.edges_added.iter().all(|(u, _)| u.primary == "Body"), "paragraphs hang off Body");
     }
 
     #[test]

@@ -26,28 +26,25 @@ pub mod dmi;
 pub mod error;
 pub mod fuzz;
 pub mod graph;
-pub mod incremental;
 pub mod interface;
 pub mod parallel;
 pub mod ripper;
 pub mod screen;
+pub mod signature;
 pub mod tokens;
 pub mod topology;
 
 pub use describe::DescribeConfig;
 pub use dmi::{Dmi, DmiBuildConfig, DmiBuildStats, VisitOutcome};
 pub use error::{DmiError, DmiResult, RipError};
-pub use graph::{Ung, UngNode};
-pub use incremental::{
-    pristine_signature, rip_incremental, rip_journaled, IncrementalStats, JournalEntry, RipJournal,
-    WindowSig,
-};
+pub use graph::{Ung, UngDelta, UngNode};
 pub use interface::{ExecutorConfig, VisitCommand};
 pub use parallel::{
     rip_fleet, rip_parallel, FleetEntry, ParRipConfig, RipOutcome, RipStatus, ShardPlan,
 };
 pub use ripper::{ContextSetup, RipConfig, RipStats};
 pub use screen::{label_screen, LabeledScreen};
+pub use signature::{pristine_signature, WindowSig};
 pub use topology::{Forest, ForestConfig};
 
 #[cfg(test)]

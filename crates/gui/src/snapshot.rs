@@ -445,7 +445,7 @@ impl PoolEntry {
 /// deliberately absent: it attests an in-process allocation and does not
 /// survive serialization — importers re-key entries to the live session's
 /// token after attesting the pristine image structurally (see
-/// `dmi_core::incremental::pristine_signature`).
+/// `dmi_core::pristine_signature`).
 #[derive(Debug, Clone)]
 pub struct PooledCapture {
     /// Instability-model fingerprint the entry was built under.

@@ -1,6 +1,7 @@
 //! Persistence integration tests: the binary store round trip at the
 //! workspace level, its failure modes, and the two warm paths it powers
-//! (gateway capture warm boot, incremental re-rips).
+//! (gateway warm boot, warm capture pools), and the build diff it
+//! answers (`Ung::diff` over stored rips).
 //!
 //! Tier-1 tests exercise the codec over fuzz-generated adversarial apps
 //! (round trips must be lossless *and* re-encode byte-identically),
@@ -9,21 +10,57 @@
 //! byte-identical to a conventionally rip-booted one.
 //!
 //! The `#[ignore]`d oracles are the release-gated acceptance bar:
-//! `load(save(rip))` byte-identity for all three Office apps, and the
-//! Word version chain where `rip_incremental(v_{n+1}, stored_v_n)` must
-//! be byte-identical to a cold rip of v_{n+1} while confirming a
-//! nonzero fraction of journaled explorations — and a same-build warm
-//! re-rip must hit the stored capture export (`pool_warm_hits > 0`).
+//! `load(save(rip))` byte-identity for all three Office apps, the Word
+//! version chain where `Ung::diff(load(save(rip(v-1))), rip(v))` must be
+//! a non-empty, set-exact account of the build change, and a same-build
+//! warm re-rip that must hit the stored capture export
+//! (`pool_warm_hits > 0`).
 
 use dmi_apps::AppKind;
 use dmi_core::fuzz::{AdversarialApp, AppSpec};
-use dmi_core::RipConfig;
+use dmi_core::{RipConfig, Ung, UngDelta};
 use dmi_gui::Session;
 use dmi_store::{Store, StoreError, StoredCaptures, StoredRip};
+use std::collections::HashSet;
 
 /// Canonical UNG bytes — the representation the oracles pin.
 fn ung_bytes(g: &dmi_core::Ung) -> String {
     serde_json::to_string(g).expect("UNGs serialize")
+}
+
+/// The `Ung::diff` oracle is set algebra: `old − removed ∪ added == new`
+/// over node ids and over edges (each removal present, each addition
+/// fresh), and every relabelled id is in both graphs.
+fn assert_delta_algebra(old: &Ung, new: &Ung, d: &UngDelta, ctx: &str) {
+    let nodes = |g: &Ung| g.ids().map(|u| g.node(u).control.clone()).collect::<HashSet<_>>();
+    let edges = |g: &Ung| {
+        g.ids()
+            .flat_map(|u| g.successors(u).iter().map(move |&v| (u, v)))
+            .map(|(u, v)| (g.node(u).control.clone(), g.node(v).control.clone()))
+            .collect::<HashSet<_>>()
+    };
+    let mut n = nodes(old);
+    for c in &d.nodes_removed {
+        assert!(n.remove(c), "{ctx}: removed node {c:?} is not in old");
+    }
+    for c in &d.nodes_added {
+        assert!(n.insert(c.clone()), "{ctx}: added node {c:?} is already present");
+    }
+    assert!(n == nodes(new), "{ctx}: old − removed ∪ added == new (nodes)");
+    let mut e = edges(old);
+    for pair in &d.edges_removed {
+        assert!(e.remove(pair), "{ctx}: removed edge {pair:?} is not in old");
+    }
+    for pair in &d.edges_added {
+        assert!(e.insert(pair.clone()), "{ctx}: added edge {pair:?} is already present");
+    }
+    assert!(e == edges(new), "{ctx}: old − removed ∪ added == new (edges)");
+    for c in &d.nodes_relabelled {
+        assert!(
+            old.find(c).is_some() && new.find(c).is_some(),
+            "{ctx}: relabelled {c:?} must be in both graphs"
+        );
+    }
 }
 
 /// A fresh store under the system temp dir, unique per test.
@@ -58,7 +95,6 @@ fn fuzz_app_artifacts_round_trip_losslessly_and_canonically() {
         assert_eq!(back.app, rip.app, "seed {seed}: app key");
         assert_eq!(back.pristine, rip.pristine, "seed {seed}: pristine signature");
         assert_eq!(back.stats, rip.stats, "seed {seed}: rip stats");
-        assert_eq!(back.journal.entries(), rip.journal.entries(), "seed {seed}: journal");
         assert_eq!(ung_bytes(&back.ung), ung_bytes(&rip.ung), "seed {seed}: UNG bytes");
         assert_eq!(dmi_store::encode_rip(&back), bytes, "seed {seed}: canonical re-encode");
 
@@ -99,13 +135,19 @@ fn corrupt_truncated_and_wrong_version_artifacts_fail_typed() {
     bad[0] ^= 0xFF;
     assert!(matches!(dmi_store::decode_rip(&bad), Err(StoreError::BadMagic)));
 
-    // Wrong format version (header bytes 8..12, little-endian).
-    let mut bad = bytes.clone();
-    bad[8..12].copy_from_slice(&999u32.to_le_bytes());
-    assert!(matches!(
-        dmi_store::decode_rip(&bad),
-        Err(StoreError::UnsupportedVersion { found: 999 })
-    ));
+    // Wrong format version (header bytes 8..12, little-endian), including
+    // the previous format.
+    for version in [2u32, 999] {
+        let mut bad = bytes.clone();
+        bad[8..12].copy_from_slice(&version.to_le_bytes());
+        assert!(
+            matches!(
+                dmi_store::decode_rip(&bad),
+                Err(StoreError::UnsupportedVersion { found }) if found == version
+            ),
+            "version {version} must be refused"
+        );
+    }
 
     // Kind confusion: a capture artifact is not a rip artifact (and
     // vice versa).
@@ -228,7 +270,6 @@ fn stored_rips_round_trip_byte_identically_for_every_office_app() {
         );
         assert_eq!(loaded.stats, rip.stats, "{}: rip stats", kind.name());
         assert_eq!(loaded.pristine, rip.pristine, "{}: pristine signature", kind.name());
-        assert_eq!(loaded.journal.entries(), rip.journal.entries(), "{}: journal", kind.name());
 
         let lcaps = store.load_captures(kind.name()).expect("load captures");
         assert!(!lcaps.entries.is_empty(), "{}: capture export persists", kind.name());
@@ -241,56 +282,41 @@ fn stored_rips_round_trip_byte_identically_for_every_office_app() {
     let _ = std::fs::remove_dir_all(store.root());
 }
 
-/// §persistence acceptance: walking the Word version chain, each
-/// incremental re-rip over the previous version's stored journal must
-/// be byte-identical to a cold rip of the new version, with a nonzero
-/// fraction of explorations confirmed from the journal (and a nonzero
-/// fraction re-explored — the versions really differ).
+/// §persistence acceptance: walking the Word version chain, the diff
+/// of the previous version's stored UNG against a cold rip of the next
+/// one is a non-empty, set-exact account of the change — and a stored
+/// rip diffs empty against the graph it was saved from.
 #[test]
 #[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
-fn incremental_rerip_is_byte_identical_to_cold_rip_across_word_versions() {
+fn stored_ung_diff_accounts_exactly_for_word_version_changes() {
     let cfg = RipConfig::office("Word");
     let store = temp_store("chain");
-
     let mut v0 = Session::new(AppKind::Word.launch_small_version(0));
-    let rip0 = dmi_store::record_rip("Word", &mut v0, &cfg);
-    store.save_rip(&rip0).expect("save v0");
-    let mut prior = store.load_rip("Word").expect("load v0");
+    let mut prior = dmi_store::record_rip("Word", &mut v0, &cfg);
 
     for v in [1usize, 2] {
-        let mut cold_s = Session::new(AppKind::Word.launch_small_version(v));
-        let (cold_g, _) = dmi_core::ripper::rip(&mut cold_s, &cfg);
-
-        let mut inc_s = Session::new(AppKind::Word.launch_small_version(v));
-        let (inc_g, _, inc) = dmi_store::rip_incremental(&mut inc_s, &cfg, &prior);
-
-        assert_eq!(
-            ung_bytes(&inc_g),
-            ung_bytes(&cold_g),
-            "v{v}: incremental re-rip must be byte-identical to the cold rip"
+        store.save_rip(&prior).expect("save prior");
+        let loaded = store.load_rip("Word").expect("load prior");
+        assert!(
+            Ung::diff(&loaded.ung, &prior.ung).is_empty(),
+            "v{}: a stored rip diffs empty against its source graph",
+            v - 1
         );
-        assert!(inc.edges_confirmed > 0, "v{v}: the v{} journal confirms something", v - 1);
-        assert!(inc.edges_reexplored > 0, "v{v}: a changed build re-explores something");
 
-        // Advance the chain: persist v's own journaled rip (which must
-        // itself match the cold rip) as the next prior.
-        let mut rec = Session::new(AppKind::Word.launch_small_version(v));
-        let rip_v = dmi_store::record_rip("Word", &mut rec, &cfg);
-        assert_eq!(
-            ung_bytes(&rip_v.ung),
-            ung_bytes(&cold_g),
-            "v{v}: journaled recording rip must match the plain rip"
-        );
-        store.save_rip(&rip_v).expect("save chain link");
-        prior = store.load_rip("Word").expect("load chain link");
+        let mut s = Session::new(AppKind::Word.launch_small_version(v));
+        let next = dmi_store::record_rip("Word", &mut s, &cfg);
+        let delta = Ung::diff(&loaded.ung, &next.ung);
+        assert!(!delta.is_empty(), "v{v}: a changed build changes the graph");
+        assert_delta_algebra(&loaded.ung, &next.ung, &delta, &format!("v{}->v{v}", v - 1));
+        prior = next;
     }
     let _ = std::fs::remove_dir_all(store.root());
 }
 
-/// §persistence acceptance: a same-build warm re-rip booted from the
-/// stored capture export serves pooled captures (`pool_warm_hits > 0`)
-/// and confirms every journaled exploration; a changed build is refused
-/// the warm path entirely.
+/// §persistence acceptance: a same-build rip of a session warmed from
+/// the stored capture export reproduces the stored UNG byte-for-byte and
+/// serves pooled captures (`pool_warm_hits > 0`); a changed build is
+/// refused the warm path entirely.
 #[test]
 #[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
 fn warm_rerip_hits_stored_captures_and_refuses_changed_builds() {
@@ -310,15 +336,17 @@ fn warm_rerip_hits_stored_captures_and_refuses_changed_builds() {
     let imported = dmi_store::warm_session(&store, "Word", &mut warm).expect("same build warms");
     assert!(imported > 0, "the stored export seeds the pool");
 
-    let (g, _, inc) = dmi_store::rip_incremental(&mut warm, &cfg, &prior);
+    let warm_hits_before = warm.capture_stats().pool_warm_hits;
+    let (g, _) = dmi_core::ripper::rip(&mut warm, &cfg);
     assert_eq!(
         ung_bytes(&g),
         ung_bytes(&prior.ung),
         "same-build warm re-rip reproduces the stored UNG byte-for-byte"
     );
-    assert!(inc.pool_warm_hits > 0, "warm re-rip must serve stored captures from the pool");
-    assert_eq!(inc.edges_reexplored, 0, "an unchanged build confirms every exploration");
-    assert!(inc.edges_confirmed > 0);
+    assert!(
+        warm.capture_stats().pool_warm_hits > warm_hits_before,
+        "warm re-rip must serve stored captures from the pool"
+    );
 
     let mut v1 = Session::new(AppKind::Word.launch_small_version(1));
     v1.set_capture_pool(Some(dmi_store::recording_pool()));
