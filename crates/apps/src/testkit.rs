@@ -68,16 +68,20 @@ impl GuiApp for UnforkableApp {
 }
 
 /// A forkable application whose **forked instances panic** on their nth
-/// dispatched command — a worker shard dying mid-task. The original
-/// (and therefore any sequential reference rip) never panics, so fleet
-/// fail-soft tests can compare a healthy baseline against the contained
-/// failure. Structure: one window, one popup menu with `items` command
-/// entries.
+/// dispatched command — a worker shard dying mid-task. Built with
+/// [`PanickyApp::new`], the original (and therefore any sequential
+/// reference rip) never panics, so fleet fail-soft tests can compare a
+/// healthy baseline against the contained failure; built with
+/// [`PanickyApp::everywhere`], the original panics too — a rip that dies
+/// on whatever thread runs it. Structure: one window, one popup menu with
+/// `items` command entries.
 pub struct PanickyApp {
     tree: UiTree,
     items: usize,
     panic_at: u32,
     is_fork: bool,
+    /// Whether the unforked original panics as well.
+    everywhere: bool,
     dispatches: u32,
 }
 
@@ -103,7 +107,13 @@ impl PanickyApp {
                     .build(),
             );
         }
-        PanickyApp { tree: t, items, panic_at, is_fork: false, dispatches: 0 }
+        PanickyApp { tree: t, items, panic_at, is_fork: false, everywhere: false, dispatches: 0 }
+    }
+
+    /// Like [`PanickyApp::new`], but every instance — the unforked
+    /// original included — panics on dispatch number `panic_at`.
+    pub fn everywhere(items: usize, panic_at: u32) -> PanickyApp {
+        PanickyApp { everywhere: true, ..PanickyApp::new(items, panic_at) }
     }
 }
 
@@ -119,7 +129,7 @@ impl GuiApp for PanickyApp {
     }
     fn dispatch(&mut self, _src: WidgetId, _b: &CommandBinding) -> Result<(), AppError> {
         self.dispatches += 1;
-        if self.is_fork && self.dispatches == self.panic_at {
+        if (self.is_fork || self.everywhere) && self.dispatches == self.panic_at {
             panic!("injected fault: fork dispatch #{} dies mid-click", self.panic_at);
         }
         Ok(())
@@ -127,13 +137,16 @@ impl GuiApp for PanickyApp {
     fn reset(&mut self) {
         let dispatches = self.dispatches;
         let is_fork = self.is_fork;
+        let everywhere = self.everywhere;
         *self = PanickyApp::new(self.items, self.panic_at);
         self.dispatches = dispatches;
         self.is_fork = is_fork;
+        self.everywhere = everywhere;
     }
     fn fork(&self) -> Option<Box<dyn GuiApp>> {
         let mut f = PanickyApp::new(self.items, self.panic_at);
         f.is_fork = true;
+        f.everywhere = self.everywhere;
         Some(Box::new(f))
     }
     fn pristine_token(&self) -> Option<u64> {

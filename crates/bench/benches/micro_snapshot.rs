@@ -294,7 +294,7 @@ fn bench_rip_parallel(c: &mut Criterion) {
         group.bench_function(&format!("small_word_w{workers}"), |b| {
             b.iter(|| {
                 let mut s = Session::new(AppKind::Word.launch_small());
-                let (g, stats) = rip_parallel(&mut s, &RipConfig::office("Word"), &par);
+                let (g, stats) = rip_parallel(&mut s, &RipConfig::office("Word"), &par).unwrap();
                 black_box((g.node_count(), stats.clicks))
             })
         });
@@ -303,7 +303,7 @@ fn bench_rip_parallel(c: &mut Criterion) {
     group.bench_function("small_word", |b| {
         b.iter(|| {
             let mut s = Session::new(AppKind::Word.launch_small());
-            let (g, stats) = rip_parallel(&mut s, &RipConfig::office("Word"), &par);
+            let (g, stats) = rip_parallel(&mut s, &RipConfig::office("Word"), &par).unwrap();
             black_box((g.node_count(), stats.clicks))
         })
     });
@@ -320,28 +320,73 @@ fn office_fleet() -> Vec<FleetEntry> {
         .collect()
 }
 
-/// Fleet ripping: all three Office apps under one worker budget
-/// (`office3_w{N}`), plus three versions of one app (`word_x3_versions`)
-/// — the multi-user/multi-version production shape. Every entry's UNG is
-/// byte-identical to its sequential rip (release-gated in
-/// tests/identity.rs), so the curve measures pure engine behavior. At
-/// `w1` each entry degrades to the sequential engine (the fallback
-/// path); like `rip_par/*`, speedups over `rip/*` need physical cores —
-/// on a single-CPU container the variants measure scheduling overhead.
+/// A fresh one-entry fleet of small Excel: the sharded engine.
+fn excel_fleet() -> [FleetEntry; 1] {
+    [FleetEntry::new(
+        "Excel",
+        Session::new(AppKind::Excel.launch_small()),
+        RipConfig::office("Excel"),
+    )]
+}
+
+/// Fleet ripping, the app-lane curve: all three Office apps under one
+/// worker budget (`office3_w{N}`), plus three versions of one app
+/// (`word_x3_versions`) — the multi-user/multi-version production shape.
+/// With two or more workers each entry rips whole on a lane thread, so
+/// every entry's UNG and stats are its sequential rip's; at `w1` every
+/// entry rips in place on the caller's thread. Speedups over `rip/*`
+/// need physical cores.
 fn bench_rip_fleet(c: &mut Criterion) {
-    // One-shot shared-capture-pool efficacy + fault/recovery report (per
-    // app, 2 workers), printed outside the timed loops — and only when
-    // this group is actually selected by the bench name filter.
-    fn report_pool_once() {
+    let mut group = c.benchmark_group("rip_fleet");
+    group.sample_size(10);
+    for workers in [1usize, 2, 4] {
+        let par = ParRipConfig { workers, speculation: 2, spec_walk: 4 };
+        group.bench_function(&format!("office3_w{workers}"), |b| {
+            b.iter(|| {
+                let mut entries = office_fleet();
+                let out = rip_fleet(&mut entries, &par);
+                black_box(out.iter().map(|o| o.graph.node_count()).sum::<usize>())
+            })
+        });
+    }
+    let par = ParRipConfig { workers: 4, speculation: 2, spec_walk: 4 };
+    group.bench_function("word_x3_versions", |b| {
+        b.iter(|| {
+            let mut entries: Vec<FleetEntry> = (0..3)
+                .map(|v| {
+                    FleetEntry::new(
+                        format!("Word-v{v}"),
+                        Session::new(AppKind::Word.launch_small_version(v)),
+                        RipConfig::office("Word"),
+                    )
+                })
+                .collect();
+            let out = rip_fleet(&mut entries, &par);
+            black_box(out.iter().map(|o| o.graph.node_count()).sum::<usize>())
+        })
+    });
+    group.finish();
+}
+
+/// Worker-side subtree speculation on vs off in the sharded engine: a
+/// one-entry 2-worker fleet of small Excel, `walk0` (dispatch-only)
+/// against `walk4` (scheduler-adopted deep walks). On one CPU the
+/// wall-clock delta is mostly scheduling noise; the signal is the traced
+/// `stall.reveal` total (see docs/observability.md), which
+/// adoption-at-pop removes outright.
+fn bench_rip_spec(c: &mut Criterion) {
+    // One-shot shared-capture-pool efficacy + fault/recovery +
+    // speculation report of the sharded engine (2 workers), printed
+    // outside the timed loops — and only when this group is actually
+    // selected by the bench name filter.
+    fn report_sharded_once() {
         static ONCE: OnceLock<()> = OnceLock::new();
         ONCE.get_or_init(|| {
             // Trace the reporting rip: the drained spans and tallies feed
             // one registry summary table below the per-app lines.
             dmi_obs::set_enabled(true);
-            let mut entries = office_fleet();
-            for o in
-                rip_fleet(&mut entries, &ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 })
-            {
+            let par = ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 };
+            for o in rip_fleet(&mut excel_fleet(), &par) {
                 eprintln!(
                     "{}",
                     report::pool_line(&o.app_id, o.stats.pool_hits, o.stats.pool_misses)
@@ -384,53 +429,14 @@ fn bench_rip_fleet(c: &mut Criterion) {
         });
     }
 
-    let mut group = c.benchmark_group("rip_fleet");
-    group.sample_size(10);
-    for workers in [1usize, 2, 4] {
-        let par = ParRipConfig { workers, speculation: 2, spec_walk: 4 };
-        group.bench_function(&format!("office3_w{workers}"), |b| {
-            report_pool_once();
-            b.iter(|| {
-                let mut entries = office_fleet();
-                let out = rip_fleet(&mut entries, &par);
-                black_box(out.iter().map(|o| o.graph.node_count()).sum::<usize>())
-            })
-        });
-    }
-    let par = ParRipConfig { workers: 4, speculation: 2, spec_walk: 4 };
-    group.bench_function("word_x3_versions", |b| {
-        report_pool_once();
-        b.iter(|| {
-            let mut entries: Vec<FleetEntry> = (0..3)
-                .map(|v| {
-                    FleetEntry::new(
-                        format!("Word-v{v}"),
-                        Session::new(AppKind::Word.launch_small_version(v)),
-                        RipConfig::office("Word"),
-                    )
-                })
-                .collect();
-            let out = rip_fleet(&mut entries, &par);
-            black_box(out.iter().map(|o| o.graph.node_count()).sum::<usize>())
-        })
-    });
-    group.finish();
-}
-
-/// Worker-side subtree speculation on vs off, same 2-worker Office fleet.
-/// On one CPU the wall-clock delta is mostly scheduling noise; the signal
-/// is the traced `stall.reveal` total (see docs/observability.md), which
-/// adoption-at-pop removes outright — `walk0` is the PR 9 dispatch-only
-/// engine, `walk4` the default speculative one.
-fn bench_rip_spec(c: &mut Criterion) {
     let mut group = c.benchmark_group("rip_spec");
     group.sample_size(10);
     for walk in [0usize, 4] {
         let par = ParRipConfig { workers: 2, speculation: 2, spec_walk: walk };
-        group.bench_function(&format!("office3_w2_walk{walk}"), |b| {
+        group.bench_function(&format!("excel_w2_walk{walk}"), |b| {
+            report_sharded_once();
             b.iter(|| {
-                let mut entries = office_fleet();
-                let out = rip_fleet(&mut entries, &par);
+                let out = rip_fleet(&mut excel_fleet(), &par);
                 black_box(out.iter().map(|o| o.graph.node_count()).sum::<usize>())
             })
         });

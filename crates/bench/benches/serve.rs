@@ -25,7 +25,7 @@
 //! which poison the pristine-relative action trace, soundly disabling
 //! cross-session capture sharing for the rest of the task. Workloads
 //! driven purely by fingerprintable inputs (clicks, key presses) — the
-//! rip fleet — do share; `rip_fleet/*` reports those rates.
+//! sharded rip engine — do share; `rip_spec/*` reports those rates.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmi_agent::{

@@ -127,18 +127,20 @@ impl std::error::Error for DmiError {}
 /// A fault detected and contained by the fleet rip engine. Unlike a
 /// [`DmiError`] (a per-command interaction failure fed back to the
 /// caller for re-planning), a `RipError` records that an entire
-/// frontier's parallel rip could not be trusted: a worker shard died, or
-/// a determinism oracle caught the application drifting from its
-/// attested launch image. The scheduler quarantines exactly the faulty
-/// frontier — sibling lanes finish byte-identical to their sequential
-/// rips — and reports the fault inside
+/// frontier's rip could not be trusted: the rip panicked, or a
+/// determinism oracle caught the application drifting from its attested
+/// launch image. The fleet contains the fault in exactly the faulty
+/// entry — sibling entries finish byte-identical to their sequential
+/// rips — and reports it inside
 /// [`crate::parallel::RipStatus::Degraded`] or
 /// [`crate::parallel::RipStatus::Failed`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RipError {
-    /// A worker shard panicked while exploring a candidate for this
-    /// entry. The exploration unit (fork + planner state) died with the
-    /// unwind; the panic payload is preserved verbatim.
+    /// The rip panicked while exploring a candidate for this entry: on a
+    /// worker shard of the sharded engine, where the exploration unit
+    /// (fork + planner state) died with the unwind, or in the entry's own
+    /// sequential rip (an app lane or an in-place rip). The panic payload
+    /// is preserved verbatim.
     WorkerPanic {
         /// The fleet entry's caller-chosen id.
         app_id: String,
@@ -161,7 +163,7 @@ impl std::fmt::Display for RipError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RipError::WorkerPanic { app_id, payload } => {
-                write!(f, "worker shard panicked while serving app '{app_id}': {payload}")
+                write!(f, "rip panicked while serving app '{app_id}': {payload}")
             }
             RipError::Divergence { app_id, detail } => {
                 write!(f, "determinism divergence detected for app '{app_id}': {detail}")

@@ -103,8 +103,9 @@ pub fn check_parallel(spec: &AppSpec) -> Option<Divergence> {
         .map(|d| Divergence { oracle: OracleKind::Parallel, ..d })
 }
 
-/// Rips every spec in one fleet on a shared worker pool and compares each
-/// entry against its private sequential rip. First divergence wins.
+/// Rips every spec in one 2-worker fleet — app lanes for two or more
+/// specs, the sharded engine for one — and compares each entry against
+/// its private sequential rip. First divergence wins.
 pub fn check_fleet(specs: &[AppSpec]) -> Option<Divergence> {
     let par = ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 };
     let mut entries: Vec<FleetEntry> = specs

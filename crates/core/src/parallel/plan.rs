@@ -1,31 +1,35 @@
 //! Shard planning: resolving a configuration into an execution shape.
 //!
-//! One plan governs a whole fleet: `workers` threads serve every entry's
-//! frontier, and `max_in_flight` caps the speculative window *globally*
-//! — the fleet scheduler distributes it round-robin across lanes, so a
-//! single deep frontier cannot monopolize the budget while the per-app
-//! fairness weights (remaining stack depth) steer idle workers toward
-//! the frontiers with the most work left.
+//! One plan governs a whole fleet. A multi-entry fleet reads only
+//! `workers` from it (its app-lane count, capped at the entry count); a
+//! sharded one-entry fleet runs `workers` worker threads, and
+//! `max_in_flight` caps its speculative dispatch window.
 
-/// Configuration for the parallel sharded rip (single-app or fleet).
+/// Configuration for a fleet rip: app lanes or one sharded application.
 #[derive(Debug, Clone)]
 pub struct ParRipConfig {
-    /// Worker threads exploring candidates — shared by every app in a
-    /// fleet. `0` resolves to the machine's available parallelism.
+    /// Threads a fleet rips on. A multi-entry fleet runs
+    /// `min(workers, entries)` app lanes, each ripping whole applications
+    /// with the sequential engine; a one-entry fleet ([`rip_parallel`])
+    /// shards its application across `workers` forked worker sessions.
+    /// `1` rips every entry sequentially in place; `0` resolves to the
+    /// machine's available parallelism.
+    ///
+    /// [`rip_parallel`]: crate::parallel::rip_parallel
     pub workers: usize,
-    /// Speculative dispatch depth: how many tasks are kept in flight per
-    /// worker. `1` means workers only ever run the task a scheduler lane
-    /// is about to commit (no speculation, maximum stalls); higher values
-    /// trade a little wasted exploration for pipeline overlap.
+    /// Speculative dispatch depth of a sharded (one-entry) fleet: how
+    /// many tasks are kept in flight per worker. `1` means workers only
+    /// ever run the task the scheduler lane is about to commit (no
+    /// speculation, maximum stalls); higher values trade a little wasted
+    /// exploration for pipeline overlap.
     pub speculation: usize,
-    /// Speculative subtree walk depth: how many candidates a worker may
-    /// keep exploring out of the subtree its own fresh capture revealed
-    /// before returning to the queue, publishing each result for
-    /// scheduler adoption. `0` disables worker-side speculation
-    /// (dispatch-only, PR 9 behavior). The per-walk budget is further
-    /// shaped by the fair queue's cost-aware share
-    /// ([`crate::parallel::fairness::FairQueue::spec_budget`]) so deep
-    /// walks don't starve other frontiers in fleet mode.
+    /// Speculative subtree walk depth of a sharded (one-entry) fleet: how
+    /// many candidates a worker may keep exploring out of the subtree its
+    /// own fresh capture revealed before returning to the queue,
+    /// publishing each result for scheduler adoption. `0` disables
+    /// worker-side speculation (dispatch-only). The per-walk budget is
+    /// further shaped by the fair queue's cost-aware share
+    /// ([`crate::parallel::fairness::FairQueue::spec_budget`]).
     pub spec_walk: usize,
 }
 
@@ -38,10 +42,11 @@ impl Default for ParRipConfig {
 /// The resolved execution shape of one parallel or fleet rip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPlan {
-    /// Worker threads that will be spawned (shared across the fleet).
+    /// Threads that will be spawned: app lanes (at most one per entry)
+    /// or sharded workers.
     pub workers: usize,
     /// Maximum outstanding (dispatched, uncommitted) tasks across all
-    /// workers and frontiers together.
+    /// workers of a sharded rip.
     pub max_in_flight: usize,
     /// Per-walk cap on worker-side subtree speculation steps (`0`
     /// disables the walks).

@@ -1,35 +1,40 @@
-//! The fleet scheduler: one deterministic commit lane per application,
-//! one shared worker pool, sequential/parallel/fleet on one commit path.
+//! The fleet entry points and the sharded scheduler: app lanes for
+//! multi-entry fleets, one deterministic commit lane over a worker pool
+//! for a one-entry fleet, and the sequential rip on one commit path.
 //!
-//! [`FleetPlan`] holds one [`Frontier`] plus per-lane scheduler state for
-//! every application in the fleet and multiplexes their commit loops on
-//! the caller's thread: each lane replays its app's exact sequential DFS
-//! (pop → visited-gate → commit, in pop order), while the expensive
-//! explorations behind those commits run on the shared, app-agnostic
-//! worker pool ([`super::worker`]). A lane that is blocked waiting for an
-//! outcome costs nothing — the loop simply pumps the other lanes and
-//! parks in `recv` only when *no* lane can progress.
+//! A multi-entry fleet with two or more workers runs as app lanes
+//! ([`run_app_lanes`]): each lane thread takes whole entries and runs the
+//! sequential [`rip`] on them. Everything else goes to the sharded engine
+//! ([`run_sharded`]): [`FleetPlan`] holds one [`Frontier`] plus lane
+//! scheduler state and drives the commit loop on the caller's thread —
+//! the lane replays its app's exact sequential DFS (pop → visited-gate →
+//! commit, in pop order), while the expensive explorations behind those
+//! commits run on the worker pool ([`super::worker`]). The caller parks
+//! in `recv` only when the lane cannot progress.
 //!
-//! [`rip_parallel`] is the 1-entry fleet; the sequential [`rip`] is the
-//! fallback every entry degrades to when it cannot fork. All three paths
-//! fold commits through the same `Frontier::seed`/`Frontier::commit`
-//! code, which is what keeps every per-app UNG byte-identical to its
-//! sequential rip (see the determinism argument in [`crate::parallel`]).
+//! [`rip_parallel`] is the 1-entry fleet; the sequential [`rip`] is what
+//! an app lane runs and what an entry falls back to when it cannot fork.
+//! Every path folds commits through the same
+//! `Frontier::seed`/`Frontier::commit` code, which is what keeps every
+//! per-app UNG byte-identical to its sequential rip (see the determinism
+//! argument in [`crate::parallel`]).
 
 use super::plan::{ParRipConfig, ShardPlan};
 use super::spec::SpecTable;
 use super::worker::{
-    drain_pool, worker_loop, AppShared, FleetShared, Outcome, PooledUnit, Reply, Task,
+    drain_pool, panic_payload, worker_loop, AppShared, FleetShared, Outcome, PooledUnit, Reply,
+    Task,
 };
 use crate::error::RipError;
 use crate::graph::Ung;
 use crate::ripper::{
-    rip, snapshot_digest, Candidate, ExploreUnit, Frontier, RipConfig, RipStats, UnitState,
+    rip, rip_contained, snapshot_digest, Candidate, ExploreUnit, Frontier, RipConfig, RipStats,
+    UnitState,
 };
 use dmi_gui::{CapturePool, CaptureStats, Session};
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 /// One application in a fleet rip: a session to rip, the configuration to
@@ -54,10 +59,15 @@ impl FleetEntry {
 /// How one fleet entry's rip concluded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RipStatus {
-    /// Ripped on the parallel engine; every fault oracle stayed quiet.
+    /// Ripped in parallel and every fault oracle stayed quiet: as an app
+    /// lane (a multi-entry fleet; the entry's own sequential rip on a
+    /// lane thread, so its graph and [`RipStats`] equal that rip's
+    /// exactly — unforkable and `max_clicks` entries included), or
+    /// sharded across worker forks (a one-entry fleet).
     Parallel,
-    /// Ran on the sequential fallback engine (the app cannot fork, the
-    /// plan resolved to one worker, or `max_clicks` is set). The UNG is
+    /// Ran on the sequential engine in place, on the caller's thread:
+    /// the plan resolved to one worker, or a one-entry fleet could not
+    /// shard (the app cannot fork, or `max_clicks` is set). The UNG is
     /// byte-identical either way.
     FellBack,
     /// A determinism oracle fired mid-rip: the parallel merge could no
@@ -66,10 +76,11 @@ pub enum RipStatus {
     /// caller's session with cleared capture caches. The graph is the
     /// sequential reference result; the error records the fault.
     Degraded(RipError),
-    /// A worker shard panicked while serving this entry. The graph holds
-    /// the partial merge committed before the fault (every byte of it
-    /// matches a prefix of the sequential rip); sibling entries are
-    /// unaffected.
+    /// The rip panicked while serving this entry: on a worker shard of
+    /// the sharded engine, or in the entry's own sequential rip (an app
+    /// lane, or an in-place rip). The graph holds the partial merge
+    /// committed before the fault (every byte of it matches a prefix of
+    /// the sequential rip); sibling entries are unaffected.
     Failed(RipError),
 }
 
@@ -80,8 +91,9 @@ pub struct RipOutcome {
     /// The merged UNG — byte-identical to this entry's sequential rip
     /// (partial for [`RipStatus::Failed`] entries).
     pub graph: Ung,
-    /// Aggregated effort counters (scheduler lane + every worker that
-    /// served this app, capture-pool counters included).
+    /// Effort counters: the sequential rip's own for app lanes and
+    /// in-place rips; for a sharded entry, the scheduler lane's plus every
+    /// worker's that served it, capture-pool counters included.
     pub stats: RipStats,
     /// Which engine produced the graph, and whether a fault was
     /// contained along the way.
@@ -103,15 +115,25 @@ impl RipOutcome {
     }
 }
 
-/// Rips a fleet of applications concurrently on one shared worker pool,
-/// producing — for every entry — a UNG byte-identical to that entry's
-/// sequential [`rip`]. Outcomes are returned in entry order.
+/// Rips a fleet of applications concurrently, producing — for every
+/// entry — a UNG byte-identical to that entry's sequential [`rip`].
+/// Outcomes are returned in entry order, one per entry, and a panic in
+/// one entry's rip is contained in that entry's outcome
+/// ([`RipStatus::Failed`]).
 ///
-/// Each forkable entry gets a private frontier, a per-app session pool of
-/// `workers` forks, and a shared [`CapturePool`] so all of its shards
-/// serve identical snapshots from one structure. Entries that cannot
-/// fork (or use `max_clicks`) transparently fall back to the sequential
-/// engine, mixed into the same result vector.
+/// The fleet takes one of two shapes:
+///
+/// - **App lanes** (two or more entries, `workers >= 2`): `min(workers,
+///   entries)` threads each take whole entries, longest first, and run
+///   the sequential [`rip`] on the entry's own session. Every outcome
+///   *is* that entry's sequential rip: same bytes, same [`RipStats`].
+/// - **Sharded** (one entry): the entry gets a frontier, a session pool
+///   of `workers` forks, and a shared [`CapturePool`] so all of its
+///   shards serve identical snapshots from one structure. An entry that
+///   cannot fork (or uses `max_clicks`) falls back to the sequential
+///   engine in place.
+///
+/// With `workers <= 1` every entry rips sequentially in place.
 pub fn rip_fleet(entries: &mut [FleetEntry], par: &ParRipConfig) -> Vec<RipOutcome> {
     let plan = ShardPlan::resolve(par);
     let seeds = entries
@@ -129,23 +151,24 @@ pub fn rip_fleet(entries: &mut [FleetEntry], par: &ParRipConfig) -> Vec<RipOutco
 /// when `config.max_clicks` is set (its global click gate has no
 /// order-independent parallel equivalent).
 ///
-/// A contained worker panic ([`RipStatus::Failed`]) is re-raised here:
-/// the single-entry caller asked for one graph and there is no complete
-/// one to return. Divergence degrades to the sequential re-rip
-/// transparently — the returned graph is the sequential reference
-/// result. Use [`rip_fleet`] to observe per-entry [`RipStatus`] instead.
+/// A contained panic ([`RipStatus::Failed`]) comes back as its
+/// [`RipError::WorkerPanic`]: the single-entry caller asked for one graph
+/// and there is no complete one to return. Divergence degrades to the
+/// sequential re-rip transparently — the returned graph is the sequential
+/// reference result. Use [`rip_fleet`] to observe per-entry [`RipStatus`]
+/// instead.
 pub fn rip_parallel(
     session: &mut Session,
     config: &RipConfig,
     par: &ParRipConfig,
-) -> (Ung, RipStats) {
+) -> Result<(Ung, RipStats), RipError> {
     let plan = ShardPlan::resolve(par);
     let seeds = vec![LaneSeed { app_id: String::from("app"), session, config }];
     let outcome = run_fleet(seeds, &plan).pop().expect("one seed yields one outcome");
-    if let RipStatus::Failed(err) = &outcome.status {
-        panic!("{err}");
+    match outcome.status {
+        RipStatus::Failed(err) => Err(err),
+        _ => Ok((outcome.graph, outcome.stats)),
     }
-    (outcome.graph, outcome.stats)
 }
 
 /// One lane's inputs, borrowed from the caller.
@@ -166,29 +189,76 @@ impl Drop for ShutdownOnDrop {
     }
 }
 
-/// Runs a fleet: partitions seeds into parallel lanes and sequential
-/// fallbacks, executes both, and returns outcomes in seed order.
-///
-/// Fallback entries do not serialize with the fleet: while the caller's
-/// thread multiplexes the parallel lanes, each fallback rips on its own
-/// scoped thread, overlapping with worker exploration. (With `workers <=
-/// 1` no fleet exists and the caller asked for no parallelism, so every
-/// entry runs sequentially in place.)
+/// Runs a fleet in its shape (see [`rip_fleet`]) and returns outcomes in
+/// seed order. The `rip.fleet` span covers the whole call on the caller's
+/// thread.
 fn run_fleet(seeds: Vec<LaneSeed<'_>>, plan: &ShardPlan) -> Vec<RipOutcome> {
     let _fleet_span = dmi_obs::span(dmi_obs::Cat::Rip, "rip.fleet", seeds.len() as u64);
+    if plan.workers >= 2 && seeds.len() >= 2 {
+        return run_app_lanes(seeds, plan.workers);
+    }
+    run_sharded(seeds, plan)
+}
+
+/// Runs a multi-entry fleet as app lanes: `min(workers, entries)` scoped
+/// threads each take whole entries, longest first, and rip each on the
+/// entry's own session with the sequential engine ([`run_contained`]).
+/// No fork, worker pool or shared capture pool is involved: every session
+/// keeps its own capture cache, exactly as under [`rip`].
+///
+/// "Longest" is estimated from the launch widget count, which reads the
+/// application's tree without issuing an accessibility query. Lane order
+/// — which thread takes which entry, and when — changes wall time only,
+/// never bytes or stats: each outcome is its entry's sequential rip.
+///
+/// The caller's wait for the lanes is the `scheduler.park` span, so a
+/// trace splits the `rip.fleet` span into the join wait and the caller's
+/// own work.
+fn run_app_lanes(seeds: Vec<LaneSeed<'_>>, workers: usize) -> Vec<RipOutcome> {
+    let n = seeds.len();
+    let mut queue: Vec<(usize, LaneSeed<'_>)> = seeds.into_iter().enumerate().collect();
+    // Sorted shortest first: lanes pop from the back, so they take the
+    // longest entry first (the earliest entry among equals).
+    queue.sort_by_key(|(idx, seed)| (seed.session.app().tree().len(), std::cmp::Reverse(*idx)));
+    let queue = Mutex::new(queue);
+    let take = || queue.lock().expect("the lane queue is locked only to pop").pop();
+
+    let mut out: Vec<Option<RipOutcome>> = (0..n).map(|_| None).collect();
+    thread::scope(|scope| {
+        let lanes: Vec<_> = (0..workers.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while let Some((idx, seed)) = take() {
+                        done.push((idx, run_contained(seed, RipStatus::Parallel)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        let _park = dmi_obs::span(dmi_obs::Cat::Scheduler, "scheduler.park", 0);
+        for lane in lanes {
+            for (idx, outcome) in lane.join().expect("app lanes contain rip panics") {
+                out[idx] = Some(outcome);
+            }
+        }
+    });
+    out.into_iter().map(|o| o.expect("every seed produced an outcome")).collect()
+}
+
+/// Runs the sharded engine: each forkable entry becomes a commit lane
+/// over one worker pool, and every other entry — all of them with
+/// `workers <= 1` — rips sequentially in place first. Only one-entry
+/// fleets reach this with `workers >= 2`.
+fn run_sharded(seeds: Vec<LaneSeed<'_>>, plan: &ShardPlan) -> Vec<RipOutcome> {
     let n = seeds.len();
     let mut out: Vec<Option<RipOutcome>> = (0..n).map(|_| None).collect();
     let mut lane_seeds: Vec<(usize, LaneSeed<'_>)> = Vec::new();
-    let mut fallback_seeds: Vec<(usize, LaneSeed<'_>)> = Vec::new();
     let mut app_shared: Vec<AppShared> = Vec::new();
 
     for (idx, seed) in seeds.into_iter().enumerate() {
-        if plan.workers <= 1 {
-            out[idx] = Some(run_sequential(seed));
-            continue;
-        }
-        if seed.config.max_clicks.is_some() {
-            fallback_seeds.push((idx, seed));
+        if plan.workers <= 1 || seed.config.max_clicks.is_some() {
+            out[idx] = Some(run_contained(seed, RipStatus::FellBack));
             continue;
         }
         // Shared capture pool first: the forks below inherit it, so every
@@ -204,39 +274,25 @@ fn run_fleet(seeds: Vec<LaneSeed<'_>>, plan: &ShardPlan) -> Vec<RipOutcome> {
         }
         if units.len() < plan.workers {
             seed.session.set_capture_pool(None);
-            fallback_seeds.push((idx, seed));
+            out[idx] = Some(run_contained(seed, RipStatus::FellBack));
             continue;
         }
         app_shared.push(AppShared { config: Arc::new(seed.config.clone()), units: units.into() });
         lane_seeds.push((idx, seed));
     }
 
-    if lane_seeds.is_empty() {
-        // No fleet to overlap with: run the fallbacks in place.
-        for (idx, seed) in fallback_seeds {
-            out[idx] = Some(run_sequential(seed));
-        }
-        return out.into_iter().map(|o| o.expect("every seed produced an outcome")).collect();
-    }
-
-    let shared = FleetShared::new(app_shared, plan.spec_walk);
-    let (tx, rx) = channel();
-    let handles: Vec<thread::JoinHandle<()>> = (0..plan.workers)
-        .map(|_| {
-            let shared = Arc::clone(&shared);
-            let tx = tx.clone();
-            thread::spawn(move || worker_loop(shared, tx))
-        })
-        .collect();
-    drop(tx); // Workers hold the only senders now.
-    let _shutdown_guard = ShutdownOnDrop(Arc::clone(&shared));
-
-    thread::scope(|scope| {
-        let fallback_handles: Vec<(usize, thread::ScopedJoinHandle<'_, RipOutcome>)> =
-            fallback_seeds
-                .into_iter()
-                .map(|(idx, seed)| (idx, scope.spawn(move || run_sequential(seed))))
-                .collect();
+    if !lane_seeds.is_empty() {
+        let shared = FleetShared::new(app_shared, plan.spec_walk);
+        let (tx, rx) = channel();
+        let handles: Vec<thread::JoinHandle<()>> = (0..plan.workers)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                let tx = tx.clone();
+                thread::spawn(move || worker_loop(shared, tx))
+            })
+            .collect();
+        drop(tx); // Workers hold the only senders now.
+        let _shutdown_guard = ShutdownOnDrop(Arc::clone(&shared));
 
         let lanes: Vec<Lane<'_>> = lane_seeds
             .into_iter()
@@ -256,18 +312,24 @@ fn run_fleet(seeds: Vec<LaneSeed<'_>>, plan: &ShardPlan) -> Vec<RipOutcome> {
             let (idx, outcome) = lane.finish(&shared);
             out[idx] = Some(outcome);
         }
-        for (idx, h) in fallback_handles {
-            out[idx] = Some(h.join().expect("fallback rip must not panic"));
-        }
-    });
+    }
 
     out.into_iter().map(|o| o.expect("every seed produced an outcome")).collect()
 }
 
-/// Runs one entry on the sequential fallback engine.
-fn run_sequential(seed: LaneSeed<'_>) -> RipOutcome {
-    let (graph, stats) = rip(seed.session, seed.config);
-    RipOutcome { app_id: seed.app_id, graph, stats, status: RipStatus::FellBack }
+/// Runs one entry on the sequential engine with the panic contained: a
+/// clean rip reports `status`, a panicking one [`RipStatus::Failed`] with
+/// the partial graph and counters committed before the panic.
+fn run_contained(seed: LaneSeed<'_>, status: RipStatus) -> RipOutcome {
+    let (graph, stats, panicked) = rip_contained(seed.session, seed.config);
+    let status = match panicked {
+        None => status,
+        Some(p) => RipStatus::Failed(RipError::WorkerPanic {
+            app_id: seed.app_id.clone(),
+            payload: panic_payload(p.as_ref()),
+        }),
+    };
+    RipOutcome { app_id: seed.app_id, graph, stats, status }
 }
 
 /// The fleet execution state: one commit lane (frontier + scheduler

@@ -112,7 +112,7 @@ pub(super) enum Reply {
 
 /// Renders a `catch_unwind` payload as text (panic messages are `&str`
 /// or `String` in practice).
-fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
+pub(super) fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {

@@ -258,22 +258,41 @@ pub(crate) struct ExploreUnit<'a> {
     last_base_digest: Option<u64>,
 }
 
-/// Rips an application into a UNG (sequential reference implementation;
-/// see [`crate::parallel::rip_parallel`] for the sharded engine and
-/// [`crate::parallel::rip_fleet`] for multi-app fleets — both are
-/// byte-identical by construction).
+/// Rips an application into a UNG (sequential reference implementation).
+/// A multi-entry [`crate::parallel::rip_fleet`] runs this very rip on one
+/// thread per application (app lanes), so its outcomes match it by
+/// construction; [`crate::parallel::rip_parallel`] shards one application
+/// across worker forks and matches it byte for byte.
 pub fn rip(session: &mut Session, config: &RipConfig) -> (Ung, RipStats) {
+    let (graph, stats, panicked) = rip_contained(session, config);
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
+    (graph, stats)
+}
+
+/// [`rip`] with its exploration passes under `catch_unwind`: a panicking
+/// application ends the rip early, and the graph and counters committed
+/// before the panic come back beside the panic payload instead of being
+/// lost to the unwind.
+pub(crate) fn rip_contained(
+    session: &mut Session,
+    config: &RipConfig,
+) -> (Ung, RipStats, Option<Box<dyn std::any::Any + Send>>) {
     let _rip_span = dmi_obs::span(dmi_obs::Cat::Rip, "rip.sequential", 0);
     let cs0 = session.capture_stats();
     let mut ex = Explorer { unit: ExploreUnit::new(session, config), frontier: Frontier::new() };
-    ex.base_pass();
-    for ctx in &config.contexts {
-        ex.context_pass(ctx);
-    }
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        ex.base_pass();
+        for ctx in &config.contexts {
+            ex.context_pass(ctx);
+        }
+    }))
+    .err();
     let Explorer { unit, frontier } = ex;
     let mut stats = unit.stats;
     stats.fold_pool_delta(cs0, unit.session().capture_stats());
-    (frontier.g, stats)
+    (frontier.g, stats, panicked)
 }
 
 /// The suspended, thread-portable half of an [`ExploreUnit`]: its effort

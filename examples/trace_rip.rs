@@ -1,8 +1,11 @@
-//! Traced fleet rip walkthrough: rip the three Office small apps on a
-//! shared 2-worker pool with the `dmi-obs` recorder enabled, export the
-//! span timeline as Chrome trace-event JSON (load it in Perfetto or
-//! `chrome://tracing`), and print the text summary plus the metrics
-//! registry — after proving tracing never changed a merged byte.
+//! Traced sharded rip walkthrough: rip small Excel as a one-entry fleet
+//! on a 2-worker pool (the sharded engine: scheduler lane, workers,
+//! speculation, shared capture pool) with the `dmi-obs` recorder enabled,
+//! export the span timeline as Chrome trace-event JSON (load it in
+//! Perfetto or `chrome://tracing`), and print the text summary plus the
+//! metrics registry — after proving tracing never changed a merged byte.
+//! (A multi-entry fleet runs app lanes instead: one sequential rip per
+//! application, with no stalls or worker explores to trace.)
 //!
 //! ```text
 //! cargo run --example trace_rip --release [out.json] [spec_walk]
@@ -18,12 +21,12 @@ use dmi_core::ripper::RipConfig;
 use dmi_gui::Session;
 
 fn entries() -> Vec<FleetEntry> {
-    AppKind::ALL
-        .iter()
-        .map(|k| {
-            FleetEntry::new(k.name(), Session::new(k.launch_small()), RipConfig::office(k.name()))
-        })
-        .collect()
+    let excel = AppKind::Excel;
+    vec![FleetEntry::new(
+        excel.name(),
+        Session::new(excel.launch_small()),
+        RipConfig::office(excel.name()),
+    )]
 }
 
 fn main() {
@@ -32,7 +35,7 @@ fn main() {
     let par = ParRipConfig { workers: 2, speculation: 2, spec_walk };
 
     // The untraced reference: tracing is observational, so the traced
-    // fleet below must merge byte-identical UNGs.
+    // rip below must merge a byte-identical UNG.
     let mut plain = entries();
     let reference: Vec<String> = rip_fleet(&mut plain, &par)
         .iter()

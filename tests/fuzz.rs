@@ -17,7 +17,8 @@ use dmi_core::fuzz::{
 };
 use dmi_core::ripper::rip;
 use dmi_core::{
-    rip_fleet, rip_parallel, FleetEntry, ParRipConfig, RipConfig, RipError, RipStatus, Ung,
+    rip_fleet, rip_parallel, FleetEntry, ParRipConfig, RipConfig, RipError, RipOutcome, RipStats,
+    RipStatus, Ung,
 };
 use dmi_gui::Session;
 use proptest::prelude::*;
@@ -27,10 +28,87 @@ fn bytes(g: &Ung) -> String {
     serde_json::to_string(g).expect("UNGs serialize")
 }
 
+/// Sequential reference rip of a spec, with its stats.
+fn rip_seq_stats(spec: &AppSpec) -> (Ung, RipStats) {
+    let mut s = Session::new(AdversarialApp::launch(spec.clone()));
+    rip(&mut s, &RipConfig::default())
+}
+
 /// Sequential reference rip of a spec.
 fn rip_seq(spec: &AppSpec) -> Ung {
-    let mut s = Session::new(AdversarialApp::launch(spec.clone()));
-    rip(&mut s, &RipConfig::default()).0
+    rip_seq_stats(spec).0
+}
+
+/// A fleet entry ripping a fresh instance of `spec`.
+fn entry(app_id: &str, spec: &AppSpec) -> FleetEntry {
+    FleetEntry::new(
+        app_id,
+        Session::new(AdversarialApp::launch(spec.clone())),
+        RipConfig::default(),
+    )
+}
+
+/// Rips `spec` as a one-entry fleet — the sharded engine, where worker
+/// forks exist for fork-only faults to fire in.
+fn rip_solo(app_id: &str, spec: &AppSpec, par: &ParRipConfig) -> RipOutcome {
+    rip_fleet(&mut [entry(app_id, spec)], par).pop().expect("one entry, one outcome")
+}
+
+/// The app-lane contract of a multi-entry fleet: every entry is
+/// `Parallel`, byte-identical to its sequential rip with exactly that
+/// rip's stats, and nothing speculated. App lanes make no forks, so no
+/// fork-only fault can fire in them.
+fn assert_app_lanes(out: &[RipOutcome], specs: &[&AppSpec]) {
+    assert_eq!(out.len(), specs.len());
+    for (o, spec) in out.iter().zip(specs) {
+        let (g, st) = rip_seq_stats(spec);
+        assert_eq!(
+            o.status,
+            RipStatus::Parallel,
+            "'{}': every app-lane entry is Parallel",
+            o.app_id
+        );
+        assert_eq!(
+            bytes(&o.graph),
+            bytes(&g),
+            "'{}': byte-identical to its sequential rip",
+            o.app_id
+        );
+        assert_eq!(o.stats, st, "'{}': an app lane is the sequential rip", o.app_id);
+        assert_eq!(o.stats.spec_published, 0, "'{}': the speculation ledger is empty", o.app_id);
+    }
+}
+
+/// Asserts a contained worker panic with its payload.
+fn assert_worker_panic(o: &RipOutcome, app: &str) {
+    match o.error().expect("the worker panic must be reported") {
+        RipError::WorkerPanic { app_id, payload } => {
+            assert_eq!(app_id, app);
+            assert!(payload.contains("injected fault"), "payload preserved, got: {payload}");
+        }
+        other => panic!("expected WorkerPanic, got {other:?}"),
+    }
+    assert!(matches!(o.status, RipStatus::Failed(_)));
+}
+
+/// Asserts a divergence-degraded entry: the sequential reference bytes
+/// and a balanced speculation ledger.
+fn assert_degraded(o: &RipOutcome, app: &str, spec: &AppSpec) {
+    match o.error().expect("the fork divergence must be reported") {
+        RipError::Divergence { app_id, .. } => assert_eq!(app_id, app),
+        other => panic!("expected Divergence, got {other:?}"),
+    }
+    assert!(matches!(o.status, RipStatus::Degraded(_)));
+    assert_eq!(
+        bytes(&o.graph),
+        bytes(&rip_seq(spec)),
+        "quarantine must discard the drifted fork's merge; the re-rip is the reference"
+    );
+    assert_eq!(
+        o.stats.spec_published,
+        o.stats.spec_adopted + o.stats.spec_wasted,
+        "diverging lane: quarantined publications are counted, never merged"
+    );
 }
 
 /// How many ops dispatch a command when clicked (buttons and list
@@ -165,13 +243,7 @@ fn fault_fork_divergence_flagged_and_shrunk() {
 /// (`spec_walk: 8`): every fault now has to survive speculative
 /// publication *and* scheduler adoption to go unflagged.
 fn check_parallel_speculative(spec: &AppSpec) -> bool {
-    let mut entries = vec![FleetEntry::new(
-        "spec-fuzz",
-        Session::new(AdversarialApp::launch(spec.clone())),
-        RipConfig::default(),
-    )];
-    let out = rip_fleet(&mut entries, &ParRipConfig { workers: 2, speculation: 2, spec_walk: 8 });
-    let o = &out[0];
+    let o = rip_solo("spec-fuzz", spec, &ParRipConfig { workers: 2, speculation: 2, spec_walk: 8 });
     o.error().is_some() || bytes(&o.graph) != bytes(&rip_seq(spec))
 }
 
@@ -201,13 +273,15 @@ fn fault_worker_panic_flagged_and_shrunk_under_deep_speculation() {
     assert_shrinks(&base, check_parallel_speculative, |ops| dispatching_ops(ops) >= 3);
 }
 
-/// All three fault classes armed next to a healthy entry on one deeply
-/// speculating 4-worker pool: the diverging lane quarantines before any
-/// speculative byte merges (its graph is the sequential reference and
-/// its ledger balances — every discarded publication counted), the
-/// panicking lane fails with its payload, the Esc-side-effect fault
-/// stays detectable by its differential oracle, and the healthy lane is
-/// byte-identical with a balanced ledger.
+/// All three fault classes armed next to a healthy entry on a deeply
+/// speculating 4-worker budget. As one fleet the four entries run as app
+/// lanes: no forks, so every entry rips clean and byte-identical to its
+/// sequential rip. As one-entry fleets they shard: the diverging entry
+/// quarantines before any speculative byte merges (its graph is the
+/// sequential reference and its ledger balances — every discarded
+/// publication counted), the panicking entry fails with its payload, and
+/// the healthy entry is byte-identical with a balanced ledger. The
+/// Esc-side-effect fault stays detectable by its differential oracle.
 #[test]
 fn fault_armed_speculating_fleet_discards_wrong_speculations() {
     silence_injected_panics();
@@ -233,77 +307,41 @@ fn fault_armed_speculating_fleet_discards_wrong_speculations() {
         "the Esc-side-effect differential oracle must keep flagging the fault"
     );
 
+    let par = ParRipConfig { workers: 4, speculation: 2, spec_walk: 8 };
     let mut entries = vec![
-        FleetEntry::new(
-            "healthy",
-            Session::new(AdversarialApp::launch(healthy.clone())),
-            RipConfig::default(),
-        ),
-        FleetEntry::new(
-            "panicky",
-            Session::new(AdversarialApp::launch(panicky.clone())),
-            RipConfig::default(),
-        ),
-        FleetEntry::new(
-            "diverging",
-            Session::new(AdversarialApp::launch(diverging.clone())),
-            RipConfig::default(),
-        ),
-        FleetEntry::new(
-            "esc-effect",
-            Session::new(AdversarialApp::launch(esc_effect.clone())),
-            RipConfig::default(),
-        ),
+        entry("healthy", &healthy),
+        entry("panicky", &panicky),
+        entry("diverging", &diverging),
+        entry("esc-effect", &esc_effect),
     ];
-    let out = rip_fleet(&mut entries, &ParRipConfig { workers: 4, speculation: 2, spec_walk: 8 });
-    assert_eq!(out.len(), 4);
+    let out = rip_fleet(&mut entries, &par);
+    assert_app_lanes(&out, &[&healthy, &panicky, &diverging, &esc_effect]);
 
-    assert_eq!(out[0].status, RipStatus::Parallel);
+    let solo = rip_solo("healthy", &healthy, &par);
+    assert_eq!(solo.status, RipStatus::Parallel);
     assert_eq!(
-        bytes(&out[0].graph),
+        bytes(&solo.graph),
         bytes(&rip_seq(&healthy)),
-        "the healthy lane must stay byte-identical next to faulty speculating siblings"
+        "the healthy sharded entry must stay byte-identical while speculating"
     );
     assert_eq!(
-        out[0].stats.spec_published,
-        out[0].stats.spec_adopted + out[0].stats.spec_wasted,
+        solo.stats.spec_published,
+        solo.stats.spec_adopted + solo.stats.spec_wasted,
         "healthy lane: every published speculation is adopted or counted as waste"
     );
-
-    match out[1].error().expect("the worker panic must be reported") {
-        RipError::WorkerPanic { app_id, payload } => {
-            assert_eq!(app_id, "panicky");
-            assert!(payload.contains("injected fault"), "payload preserved, got: {payload}");
-        }
-        other => panic!("expected WorkerPanic, got {other:?}"),
-    }
-    assert!(matches!(out[1].status, RipStatus::Failed(_)));
-
-    match out[2].error().expect("the fork divergence must be reported") {
-        RipError::Divergence { app_id, .. } => assert_eq!(app_id, "diverging"),
-        other => panic!("expected Divergence, got {other:?}"),
-    }
-    assert!(matches!(out[2].status, RipStatus::Degraded(_)));
-    assert_eq!(
-        bytes(&out[2].graph),
-        bytes(&rip_seq(&diverging)),
-        "quarantine must discard the drifted fork's speculations before any byte merges"
-    );
-    assert_eq!(
-        out[2].stats.spec_published,
-        out[2].stats.spec_adopted + out[2].stats.spec_wasted,
-        "diverging lane: quarantined publications are counted, never merged"
-    );
+    assert_worker_panic(&rip_solo("panicky", &panicky, &par), "panicky");
+    assert_degraded(&rip_solo("diverging", &diverging, &par), "diverging", &diverging);
 }
 
 // ---------------------------------------------------------------------
 // Fleet fault containment: faulty entries fail alone.
 // ---------------------------------------------------------------------
 
-/// One panicking app + one diverging app + two healthy apps on a shared
-/// 4-worker pool: per-entry outcomes, healthy UNGs byte-identical to
-/// their sequential rips, faulty entries failed/degraded in place, no
-/// process abort, no wrong bytes anywhere.
+/// One panicking app + one diverging app + two healthy apps on a 4-worker
+/// budget: per-entry outcomes, healthy UNGs byte-identical to their
+/// sequential rips, no process abort, no wrong bytes anywhere. The four
+/// entries run as app lanes, where the fork-only faults cannot fire; as
+/// one-entry sharded fleets the faulty entries fail or degrade in place.
 #[test]
 fn fault_injected_fleet_is_contained_per_entry() {
     silence_injected_panics();
@@ -313,73 +351,69 @@ fn fault_injected_fleet_is_contained_per_entry() {
         ops: noisy(303, &[ArenaOp::Button(0)]),
         faults: FaultPlan { panic_on_click: Some(1), ..FaultPlan::default() },
     };
-    // With 4 workers (4 forks per app), detection needs a poisoned fork
-    // to serve a second task — guaranteed once dispatching candidates
-    // outnumber the forks (pigeonhole), hence six buttons.
+    // With 4 workers (4 forks), detection needs a poisoned fork to serve
+    // a second task — guaranteed once dispatching candidates outnumber
+    // the forks (pigeonhole), hence six buttons.
     let diverging = AppSpec {
         ops: noisy(404, &(0..6).map(ArenaOp::Button).collect::<Vec<_>>()),
         faults: FaultPlan { fork_divergence_after: Some(1), ..FaultPlan::default() },
     };
 
+    let par = ParRipConfig { workers: 4, speculation: 2, spec_walk: 4 };
     let mut entries = vec![
-        FleetEntry::new(
-            "healthy-a",
-            Session::new(AdversarialApp::launch(healthy_a.clone())),
-            RipConfig::default(),
-        ),
-        FleetEntry::new(
-            "panicky",
-            Session::new(AdversarialApp::launch(panicky.clone())),
-            RipConfig::default(),
-        ),
-        FleetEntry::new(
-            "healthy-b",
-            Session::new(AdversarialApp::launch(healthy_b.clone())),
-            RipConfig::default(),
-        ),
-        FleetEntry::new(
-            "diverging",
-            Session::new(AdversarialApp::launch(diverging.clone())),
-            RipConfig::default(),
-        ),
+        entry("healthy-a", &healthy_a),
+        entry("panicky", &panicky),
+        entry("healthy-b", &healthy_b),
+        entry("diverging", &diverging),
     ];
-    let out = rip_fleet(&mut entries, &ParRipConfig { workers: 4, speculation: 2, spec_walk: 4 });
-    assert_eq!(out.len(), 4);
+    let out = rip_fleet(&mut entries, &par);
+    assert_app_lanes(&out, &[&healthy_a, &panicky, &healthy_b, &diverging]);
 
-    for (spec, idx) in [(&healthy_a, 0usize), (&healthy_b, 2)] {
-        assert_eq!(
-            out[idx].status,
-            RipStatus::Parallel,
-            "healthy entry '{}' must not be dragged down by faulty siblings",
-            out[idx].app_id
-        );
-        assert_eq!(
-            bytes(&out[idx].graph),
-            bytes(&rip_seq(spec)),
-            "healthy entry '{}' must stay byte-identical to its sequential rip",
-            out[idx].app_id
-        );
-    }
+    assert_worker_panic(&rip_solo("panicky", &panicky, &par), "panicky");
+    assert_degraded(&rip_solo("diverging", &diverging, &par), "diverging", &diverging);
+}
 
-    match out[1].error().expect("the worker panic must be reported") {
-        RipError::WorkerPanic { app_id, payload } => {
-            assert_eq!(app_id, "panicky");
-            assert!(payload.contains("injected fault"), "payload preserved, got: {payload}");
+/// An application whose every instance panics — the unforked original
+/// too — dies on whatever thread rips it. In a 3-entry, 2-worker fleet
+/// (app lanes) and at `workers: 1` (every entry in place) the fault stays
+/// in its entry: `Failed(WorkerPanic)` with the payload and the partial
+/// graph committed before the panic, while both siblings stay
+/// byte-identical to their sequential rips.
+#[test]
+fn unforked_panic_is_contained_per_entry() {
+    use dmi_apps::testkit::PanickyApp;
+
+    silence_injected_panics();
+    let healthy_a = AppSpec::generate(808, 14);
+    let healthy_b = AppSpec::generate(909, 14);
+    for workers in [2, 1] {
+        let par = ParRipConfig { workers, speculation: 2, spec_walk: 4 };
+        let mut entries = vec![
+            entry("healthy-a", &healthy_a),
+            FleetEntry::new(
+                "crashing",
+                Session::new(Box::new(PanickyApp::everywhere(3, 2))),
+                RipConfig::default(),
+            ),
+            entry("healthy-b", &healthy_b),
+        ];
+        let out = rip_fleet(&mut entries, &par);
+        assert_eq!(out.len(), 3, "workers {workers}: one outcome per entry");
+        assert_worker_panic(&out[1], "crashing");
+        assert!(
+            out[1].graph.node_count() > 1,
+            "workers {workers}: the partial graph committed before the panic is kept"
+        );
+        for (o, spec) in [(&out[0], &healthy_a), (&out[2], &healthy_b)] {
+            assert_eq!(o.error(), None, "workers {workers}: '{}' is not dragged down", o.app_id);
+            assert_eq!(
+                bytes(&o.graph),
+                bytes(&rip_seq(spec)),
+                "workers {workers}: '{}' stays byte-identical to its sequential rip",
+                o.app_id
+            );
         }
-        other => panic!("expected WorkerPanic, got {other:?}"),
     }
-    assert!(matches!(out[1].status, RipStatus::Failed(_)));
-
-    match out[3].error().expect("the fork divergence must be reported") {
-        RipError::Divergence { app_id, .. } => assert_eq!(app_id, "diverging"),
-        other => panic!("expected Divergence, got {other:?}"),
-    }
-    assert!(matches!(out[3].status, RipStatus::Degraded(_)));
-    assert_eq!(
-        bytes(&out[3].graph),
-        bytes(&rip_seq(&diverging)),
-        "a degraded entry re-rips sequentially into the reference bytes"
-    );
 }
 
 /// Gateway fault containment: an executor-visit task against a
@@ -521,7 +555,7 @@ fn assert_identity_for_seeds(seeds: std::ops::Range<u64>) {
     let par = ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 };
     for (spec, expect) in specs.iter().zip(&reference) {
         let mut s = Session::new(AdversarialApp::launch(spec.clone()));
-        let (g, _) = rip_parallel(&mut s, &RipConfig::default(), &par);
+        let (g, _) = rip_parallel(&mut s, &RipConfig::default(), &par).expect("clean specs rip");
         assert_eq!(&bytes(&g), expect, "parallel rip diverged for spec {spec:?}");
     }
     for (chunk, expectations) in specs.chunks(4).zip(reference.chunks(4)) {

@@ -2,8 +2,10 @@
 //! equivalence with the old linear scan, and pinned rip capture counts.
 
 use dmi_apps::AppKind;
-use dmi_core::parallel::{rip_fleet, rip_parallel, FleetEntry, ParRipConfig};
-use dmi_core::ripper::{rip, RipConfig};
+use dmi_core::parallel::{
+    rip_fleet, rip_parallel, FleetEntry, ParRipConfig, RipOutcome, RipStatus,
+};
+use dmi_core::ripper::{rip, RipConfig, RipStats};
 use dmi_gui::{CaptureConfig, Session};
 use dmi_uia::{ControlId, ControlKey, Snapshot};
 
@@ -232,7 +234,7 @@ fn parallel_rip_ung_is_byte_identical_to_sequential() {
 
         let mut s2 = Session::new(kind.launch_small());
         let par = ParRipConfig { workers: 4, speculation: 2, spec_walk: 4 };
-        let (g_par, st_par) = rip_parallel(&mut s2, &cfg, &par);
+        let (g_par, st_par) = rip_parallel(&mut s2, &cfg, &par).expect("healthy apps rip");
 
         assert_eq!(
             serde_json::to_string(&g_par).unwrap(),
@@ -252,42 +254,10 @@ fn parallel_rip_ung_is_byte_identical_to_sequential() {
     }
 }
 
-/// Fleet-engine equivalence oracle: ripping all three Office apps
-/// concurrently on one shared 4-worker pool — with an unforkable entry
-/// mixed into the fleet to exercise the sequential-fallback path — must
-/// produce, for **every** entry, a UNG byte-identical (as serialized
-/// bytes) to that entry's sequential rip, with matching commit-derived
-/// counters and nonzero shared-capture-pool hits across each Office
-/// app's shards.
-#[test]
-#[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
-fn fleet_rip_ungs_are_byte_identical_to_sequential() {
+/// The mixed Office fleet every fleet oracle rips: the three small
+/// Office apps plus an unforkable entry.
+fn mixed_fleet() -> Vec<FleetEntry> {
     use dmi_apps::testkit::UnforkableApp;
-
-    // Sequential references, one per entry.
-    let mut seq: Vec<(String, String, u64, u64)> = Vec::new();
-    for kind in AppKind::ALL {
-        let cfg = RipConfig::office(kind.name());
-        let mut s = Session::new(kind.launch_small());
-        let (g, st) = rip(&mut s, &cfg);
-        seq.push((
-            kind.name().to_string(),
-            serde_json::to_string(&g).unwrap(),
-            st.windows_seen,
-            st.blocklisted,
-        ));
-    }
-    {
-        let mut s = Session::new(Box::new(UnforkableApp::new(3)));
-        let (g, st) = rip(&mut s, &RipConfig::default());
-        seq.push((
-            "Unforkable".to_string(),
-            serde_json::to_string(&g).unwrap(),
-            st.windows_seen,
-            st.blocklisted,
-        ));
-    }
-
     let mut entries: Vec<FleetEntry> = AppKind::ALL
         .iter()
         .map(|k| {
@@ -299,18 +269,60 @@ fn fleet_rip_ungs_are_byte_identical_to_sequential() {
         Session::new(Box::new(UnforkableApp::new(3))),
         RipConfig::default(),
     ));
+    entries
+}
 
-    let out = rip_fleet(&mut entries, &ParRipConfig { workers: 4, speculation: 2, spec_walk: 4 });
+/// Each [`mixed_fleet`] entry's sequential rip: serialized UNG and stats.
+fn mixed_fleet_sequential() -> Vec<(String, String, RipStats)> {
+    mixed_fleet()
+        .into_iter()
+        .map(|mut e| {
+            let (g, st) = rip(&mut e.session, &e.config);
+            (e.app_id, serde_json::to_string(&g).unwrap(), st)
+        })
+        .collect()
+}
+
+/// Asserts the app-lane contract on a multi-entry fleet's outcomes: every
+/// entry is `Parallel` (the unforkable one included), its UNG serializes
+/// byte-identically to its sequential rip, every `RipStats` field equals
+/// that rip's, and nothing speculated.
+fn assert_app_lanes(out: &[RipOutcome], seq: &[(String, String, RipStats)]) {
     assert_eq!(out.len(), seq.len(), "one outcome per entry, in entry order");
-    for (o, (app, g_seq, windows_seen, blocklisted)) in out.iter().zip(&seq) {
+    for (o, (app, g_seq, st_seq)) in out.iter().zip(seq) {
         assert_eq!(&o.app_id, app);
+        assert_eq!(o.status, RipStatus::Parallel, "{app}: every app-lane entry is Parallel");
         assert_eq!(
             &serde_json::to_string(&o.graph).unwrap(),
             g_seq,
             "{app}: fleet UNG must serialize byte-identically to the sequential rip"
         );
-        assert_eq!(o.stats.windows_seen, *windows_seen, "{app}: windows seen");
-        assert_eq!(o.stats.blocklisted, *blocklisted, "{app}: blocklist hits");
+        assert_eq!(&o.stats, st_seq, "{app}: an app lane is the sequential rip");
+        assert_eq!(o.stats.spec_published, 0, "{app}: the speculation ledger is empty");
+    }
+}
+
+/// Fleet equivalence oracle: ripping all three Office apps concurrently
+/// on a 4-worker budget — with an unforkable entry mixed in — runs app
+/// lanes, so every entry's UNG is byte-identical (as serialized bytes) to
+/// its sequential rip and its `RipStats` equal that rip's. The same
+/// entries as one-entry fleets take the sharded engine: each Office app's
+/// shards serve nonzero shared-capture-pool hits, and the unforkable
+/// entry rides the sequential fallback — both byte-identical too.
+#[test]
+#[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
+fn fleet_rip_ungs_are_byte_identical_to_sequential() {
+    let seq = mixed_fleet_sequential();
+    let par = ParRipConfig { workers: 4, speculation: 2, spec_walk: 4 };
+    assert_app_lanes(&rip_fleet(&mut mixed_fleet(), &par), &seq);
+
+    for (entry, (app, g_seq, _)) in mixed_fleet().into_iter().zip(&seq) {
+        let o = rip_fleet(&mut [entry], &par).pop().unwrap();
+        assert_eq!(
+            &serde_json::to_string(&o.graph).unwrap(),
+            g_seq,
+            "{app}: one-entry fleet UNG must serialize byte-identically"
+        );
         if app == "Unforkable" {
             assert!(o.fell_back(), "{app}: must ride the sequential fallback");
         } else {
@@ -342,7 +354,7 @@ fn speculative_rip_ung_is_byte_identical_to_sequential() {
 
         let mut s2 = Session::new(kind.launch_small());
         let par = ParRipConfig { workers: 4, speculation: 2, spec_walk: 8 };
-        let (g_par, st_par) = rip_parallel(&mut s2, &cfg, &par);
+        let (g_par, st_par) = rip_parallel(&mut s2, &cfg, &par).expect("healthy apps rip");
 
         assert_eq!(
             serde_json::to_string(&g_par).unwrap(),
@@ -364,49 +376,25 @@ fn speculative_rip_ung_is_byte_identical_to_sequential() {
     }
 }
 
-/// Fleet-mode speculation oracle: deep walks across a mixed fleet (three
-/// Office apps + an unforkable entry on the sequential fallback) keep
-/// every UNG byte-identical to its sequential rip, adopt speculations on
-/// every Office lane, balance the waste ledger per entry, and leave the
-/// fallback entry's speculation counters at zero.
+/// Fleet-mode speculation oracle: with deep walks configured
+/// (`spec_walk: 8`), the mixed fleet runs app lanes — byte-identical to
+/// sequential, exact stats, an empty ledger. As one-entry fleets, deep
+/// walks keep every UNG byte-identical, adopt speculations on every
+/// Office entry and balance the waste ledger, while the unforkable
+/// entry's fallback leaves its speculation counters at zero.
 #[test]
 #[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
 fn speculative_fleet_ungs_are_byte_identical_to_sequential() {
-    use dmi_apps::testkit::UnforkableApp;
+    let seq = mixed_fleet_sequential();
+    let par = ParRipConfig { workers: 4, speculation: 2, spec_walk: 8 };
+    assert_app_lanes(&rip_fleet(&mut mixed_fleet(), &par), &seq);
 
-    let mut seq: Vec<(String, String)> = Vec::new();
-    for kind in AppKind::ALL {
-        let cfg = RipConfig::office(kind.name());
-        let mut s = Session::new(kind.launch_small());
-        let (g, _) = rip(&mut s, &cfg);
-        seq.push((kind.name().to_string(), serde_json::to_string(&g).unwrap()));
-    }
-    {
-        let mut s = Session::new(Box::new(UnforkableApp::new(3)));
-        let (g, _) = rip(&mut s, &RipConfig::default());
-        seq.push(("Unforkable".to_string(), serde_json::to_string(&g).unwrap()));
-    }
-
-    let mut entries: Vec<FleetEntry> = AppKind::ALL
-        .iter()
-        .map(|k| {
-            FleetEntry::new(k.name(), Session::new(k.launch_small()), RipConfig::office(k.name()))
-        })
-        .collect();
-    entries.push(FleetEntry::new(
-        "Unforkable",
-        Session::new(Box::new(UnforkableApp::new(3))),
-        RipConfig::default(),
-    ));
-
-    let out = rip_fleet(&mut entries, &ParRipConfig { workers: 4, speculation: 2, spec_walk: 8 });
-    assert_eq!(out.len(), seq.len());
-    for (o, (app, g_seq)) in out.iter().zip(&seq) {
-        assert_eq!(&o.app_id, app);
+    for (entry, (app, g_seq, _)) in mixed_fleet().into_iter().zip(&seq) {
+        let o = rip_fleet(&mut [entry], &par).pop().unwrap();
         assert_eq!(
             &serde_json::to_string(&o.graph).unwrap(),
             g_seq,
-            "{app}: speculative fleet UNG must serialize byte-identically"
+            "{app}: speculative one-entry fleet UNG must serialize byte-identically"
         );
         assert_eq!(
             o.stats.spec_published,
@@ -419,7 +407,7 @@ fn speculative_fleet_ungs_are_byte_identical_to_sequential() {
         } else {
             assert!(
                 o.stats.spec_adopted > 0,
-                "{app}: fleet lanes must adopt speculations (published={})",
+                "{app}: sharded lanes must adopt speculations (published={})",
                 o.stats.spec_published
             );
         }
@@ -549,18 +537,51 @@ fn obs_guard() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The observability non-interference oracle for the rip path: a fleet
-/// rip with tracing enabled must produce UNGs byte-identical to the
-/// untraced fleet — recording is strictly observational, so timestamps
-/// can differ but never a merged byte — while the captured trace itself
-/// is substantive: stall spans attributed apart from explore spans, and
-/// the stall total on its own summary line.
+/// Rips `entries()` untraced and traced and asserts every UNG
+/// byte-identical; returns the trace of the traced run.
+fn traced_rip_matches_untraced(
+    entries: impl Fn() -> Vec<FleetEntry>,
+    par: &ParRipConfig,
+) -> dmi_obs::Trace {
+    let untraced: Vec<String> = rip_fleet(&mut entries(), par)
+        .iter()
+        .map(|o| serde_json::to_string(&o.graph).unwrap())
+        .collect();
+
+    dmi_obs::clear();
+    dmi_obs::set_enabled(true);
+    let out = rip_fleet(&mut entries(), par);
+    dmi_obs::set_enabled(false);
+    let trace = dmi_obs::drain();
+    dmi_obs::clear();
+
+    assert_eq!(out.len(), untraced.len());
+    for (o, want) in out.iter().zip(&untraced) {
+        assert_eq!(
+            &serde_json::to_string(&o.graph).unwrap(),
+            want,
+            "{}: tracing must never change a merged byte",
+            o.app_id
+        );
+    }
+    assert!(!trace.is_empty(), "the traced run recorded events");
+    trace
+}
+
+/// The observability non-interference oracle for the rip path: fleet
+/// rips with tracing enabled must produce UNGs byte-identical to the
+/// untraced ones — recording is strictly observational, so timestamps
+/// can differ but never a merged byte. The 3-app fleet (app lanes)
+/// records one sequential rip span per app; a one-entry sharded fleet's
+/// trace is substantive: stall spans attributed apart from explore
+/// spans, and the stall total on its own summary line.
 #[test]
 #[ignore = "rip-heavy: CI runs these in release via `-- --ignored`"]
 fn traced_fleet_rip_is_byte_identical_to_untraced() {
     let _g = obs_guard();
-    let entries = || -> Vec<FleetEntry> {
-        AppKind::ALL
+    let par = ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 };
+    let office = |kinds: &[AppKind]| -> Vec<FleetEntry> {
+        kinds
             .iter()
             .map(|k| {
                 FleetEntry::new(
@@ -571,34 +592,14 @@ fn traced_fleet_rip_is_byte_identical_to_untraced() {
             })
             .collect()
     };
-    let par = ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 };
 
-    let mut plain = entries();
-    let untraced: Vec<String> = rip_fleet(&mut plain, &par)
-        .iter()
-        .map(|o| serde_json::to_string(&o.graph).unwrap())
-        .collect();
+    let lanes = traced_rip_matches_untraced(|| office(&AppKind::ALL), &par);
+    assert_eq!(lanes.count(Some(dmi_obs::Cat::Rip), "rip.sequential"), 3, "one rip per lane");
 
-    dmi_obs::clear();
-    dmi_obs::set_enabled(true);
-    let mut observed = entries();
-    let out = rip_fleet(&mut observed, &par);
-    dmi_obs::set_enabled(false);
-    let trace = dmi_obs::drain();
-    dmi_obs::clear();
-
-    for (o, want) in out.iter().zip(&untraced) {
-        assert_eq!(
-            &serde_json::to_string(&o.graph).unwrap(),
-            want,
-            "{}: tracing must never change a merged byte",
-            o.app_id
-        );
-    }
-    assert!(!trace.is_empty(), "the traced run recorded events");
-    assert!(trace.count(Some(dmi_obs::Cat::Scheduler), "stall") > 0, "stalls attributed");
-    assert!(trace.count(Some(dmi_obs::Cat::Worker), "explore") > 0, "explores recorded");
-    assert!(trace.text_summary().contains("scheduler stall total:"));
+    let sharded = traced_rip_matches_untraced(|| office(&[AppKind::Excel]), &par);
+    assert!(sharded.count(Some(dmi_obs::Cat::Scheduler), "stall") > 0, "stalls attributed");
+    assert!(sharded.count(Some(dmi_obs::Cat::Worker), "explore") > 0, "explores recorded");
+    assert!(sharded.text_summary().contains("scheduler stall total:"));
 }
 
 /// The observability non-interference oracle for the serve path: the

@@ -4,11 +4,12 @@
 //!
 //! The recorder's enable flag is process-global, so every test that
 //! opens an observation window serializes on one lock — tests can never
-//! observe each other's events. The shared fleet fixture is ripped once
-//! and inspected by every trace-shape test.
+//! observe each other's events. The shared sharded-fleet fixture is
+//! ripped once and inspected by every trace-shape test.
 
+use dmi_apps::testkit::UnforkableApp;
 use dmi_apps::AppKind;
-use dmi_core::parallel::{rip_fleet, FleetEntry, ParRipConfig};
+use dmi_core::parallel::{rip_fleet, FleetEntry, ParRipConfig, RipStatus};
 use dmi_core::ripper::{rip, RipConfig, RipStats};
 use dmi_gui::Session;
 use dmi_obs::{Cat, Clock, Event, Trace};
@@ -20,17 +21,10 @@ fn guard() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn office_entries() -> Vec<FleetEntry> {
-    AppKind::ALL
-        .iter()
-        .map(|k| {
-            FleetEntry::new(k.name(), Session::new(k.launch_small()), RipConfig::office(k.name()))
-        })
-        .collect()
-}
-
-/// One traced 3-app / 2-worker fleet rip, shared by every test that only
-/// inspects the resulting trace (the rip is the expensive part).
+/// One traced one-entry, 2-worker fleet rip of small PowerPoint — the
+/// sharded engine, with its scheduler, workers, speculation and shared
+/// capture pool — shared by every test that only inspects the resulting
+/// trace (the rip is the expensive part).
 struct FleetObs {
     trace: Trace,
     tallies: BTreeMap<&'static str, u64>,
@@ -42,12 +36,16 @@ fn fleet_obs() -> &'static FleetObs {
     OBS.get_or_init(|| {
         dmi_obs::clear();
         dmi_obs::set_enabled(true);
-        let mut entries = office_entries();
+        let mut entries = [FleetEntry::new(
+            "PowerPoint",
+            Session::new(AppKind::PowerPoint.launch_small()),
+            RipConfig::office("PowerPoint"),
+        )];
         let out =
             rip_fleet(&mut entries, &ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 });
         dmi_obs::set_enabled(false);
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(|o| !o.fell_back()), "Office apps fork");
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].status, RipStatus::Parallel, "Office apps fork");
         let trace = dmi_obs::drain();
         let tallies = dmi_obs::tallies();
         dmi_obs::clear();
@@ -144,6 +142,49 @@ fn raii_spans_balance_per_thread() {
             );
         }
     }
+}
+
+/// A multi-entry fleet runs app lanes, and its trace has their shape:
+/// the `rip.fleet` span on the caller's thread, the caller's join wait
+/// nested in it as one `scheduler.park` span, and one `rip.sequential`
+/// span per entry on the lane threads inside the fleet span — no worker
+/// explores and no lane stalls.
+#[test]
+fn app_lane_fleet_traces_lane_rips_inside_the_fleet_span() {
+    let _g = guard();
+    dmi_obs::clear();
+    dmi_obs::set_enabled(true);
+    let mut entries: Vec<FleetEntry> = (2..5)
+        .map(|items| {
+            FleetEntry::new(
+                format!("tiny-{items}"),
+                Session::new(Box::new(UnforkableApp::new(items))),
+                RipConfig::default(),
+            )
+        })
+        .collect();
+    let out = rip_fleet(&mut entries, &ParRipConfig { workers: 2, speculation: 2, spec_walk: 4 });
+    dmi_obs::set_enabled(false);
+    let trace = dmi_obs::drain();
+    dmi_obs::clear();
+
+    assert!(out.iter().all(|o| o.status == RipStatus::Parallel), "every lane entry is Parallel");
+    let fleet = trace.events.iter().find(|e| e.name == "rip.fleet").expect("fleet span");
+    let fleet_end = fleet.ts_us + fleet.dur_us;
+    let parks: Vec<&Event> = trace.events.iter().filter(|e| e.name == "scheduler.park").collect();
+    assert_eq!(parks.len(), 1, "the caller parks once, for the join");
+    assert_eq!(parks[0].tid, fleet.tid, "the join wait is on the caller's thread");
+    assert!(parks[0].ts_us >= fleet.ts_us && parks[0].ts_us + parks[0].dur_us <= fleet_end);
+    let rips: Vec<&Event> = trace.events.iter().filter(|e| e.name == "rip.sequential").collect();
+    assert_eq!(rips.len(), 3, "one sequential rip per entry");
+    for r in &rips {
+        assert_ne!(r.tid, fleet.tid, "entries rip on lane threads");
+        assert!(r.ts_us >= fleet.ts_us && r.ts_us + r.dur_us <= fleet_end, "rip nests in fleet");
+    }
+    let lanes: std::collections::BTreeSet<u64> = rips.iter().map(|r| r.tid).collect();
+    assert!(lanes.len() <= 2, "at most `workers` lane threads");
+    assert_eq!(trace.count(Some(Cat::Worker), "explore"), 0, "app lanes run no workers");
+    assert_eq!(trace.count(Some(Cat::Scheduler), "stall"), 0, "app lanes never stall");
 }
 
 fn vt_events(trace: &Trace) -> Vec<(&'static str, u64, u64, u64)> {
@@ -276,9 +317,10 @@ fn rip_stats_match_obs_tallies() {
     assert_eq!(cs.pool_misses, t("capture.pool_misses"), "pool misses");
 }
 
-/// The fleet-side drift cross-check: lane commit counters and pooled
-/// worker-unit harvests must add up to exactly the per-event tallies —
-/// a unit harvested twice (or a shard session skipped) breaks it.
+/// The fleet-side drift cross-check on the sharded fixture: lane commit
+/// counters and pooled worker-unit harvests must add up to exactly the
+/// per-event tallies — a unit harvested twice (or a shard session
+/// skipped) breaks it.
 #[test]
 fn fleet_stats_match_obs_tallies() {
     let _g = guard();
@@ -294,8 +336,8 @@ fn fleet_stats_match_obs_tallies() {
     assert!(t("capture.pool_hits") > 0, "shards served shared captures");
     // Speculation ledger: worker-side publications tally as `spec.depth`
     // at the same site as the stat, scheduler-side adoptions and waste at
-    // theirs — and on an all-healthy fleet every publication is resolved
-    // one way or the other.
+    // theirs — and on a healthy lane every publication is resolved one
+    // way or the other.
     assert_eq!(sum(|s| s.spec_published), t("spec.depth"), "speculations published");
     assert_eq!(sum(|s| s.spec_adopted), t("spec.adopt"), "speculations adopted");
     assert_eq!(sum(|s| s.spec_wasted), t("spec.waste"), "speculations wasted");
@@ -304,6 +346,7 @@ fn fleet_stats_match_obs_tallies() {
         t("spec.adopt") + t("spec.waste"),
         "every published speculation is adopted or counted as waste"
     );
+    assert!(t("spec.depth") > 0, "the sharded lane's workers speculated");
 }
 
 /// The serve-side drift cross-check: gateway counters harvested from
