@@ -7,10 +7,10 @@
 //! a handful of shared application models. The architecture deliberately
 //! mirrors the fleet ripper ([`dmi_core::parallel`]):
 //!
-//! - **Shared fairness policy.** Admission runs on the same
-//!   [`FairQueue`] the rip dispatch queue uses: one lane per tenant,
-//!   urgent-first, then greatest cost-aware weight (queued backlog ×
-//!   EWMA of the tenant's *simulated* task latency), ties round-robin.
+//! - **Fair admission.** Admission runs on a [`FairQueue`]: one lane per
+//!   tenant, urgent-first, then greatest cost-aware weight (queued
+//!   backlog × EWMA of the tenant's *simulated* task latency), ties
+//!   round-robin.
 //!   Because the serve EWMA is fed from deterministic simulated seconds
 //!   (not wall clocks), the entire admission schedule is a pure function
 //!   of the request list — reproducible run to run.

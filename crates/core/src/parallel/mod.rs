@@ -28,27 +28,24 @@
 //!     shape: how many workers run, how deep the speculative dispatch
 //!     window is, and how far workers may speculatively walk into freshly
 //!     revealed subtrees.
-//!   - **Workers** ([`worker`]) check an exploration unit (a
-//!     `Session::fork_from_pristine` fork plus suspended §4.1 planner
-//!     state) out of the app's session pool for each task's duration.
-//!     Esc-recovery state travels with the pooled unit, so recovery
-//!     amortizes across tasks exactly as it does sequentially.
-//!   - **The dispatch queue** ([`fairness`]) is a [`FairQueue`]: urgent
-//!     tasks (the lane is blocked on them) win outright; speculative
-//!     backlogs are served by estimated remaining work. The same policy
-//!     schedules tenants in the online gateway (`dmi_agent::gateway`).
-//!     It shapes only latency: commit order is fixed regardless of where
-//!     or when outcomes are computed, which the byte-identity oracles
-//!     gate.
-//!   - **Shard-local subtree speculation** ([`spec`]): a worker finishing
+//!   - **Workers** check an exploration unit (a `Session::fork_from_pristine`
+//!     fork plus suspended §4.1 planner state) out of the session pool
+//!     for each task's duration. Esc-recovery state travels with the
+//!     pooled unit, so recovery amortizes across tasks exactly as it does
+//!     sequentially.
+//!   - **The dispatch queue** is one FIFO: tasks the lane is blocked on
+//!     go to its front, speculative ones to its back. It shapes only
+//!     latency: commit order is fixed regardless of where or when
+//!     outcomes are computed, which the byte-identity oracles gate.
+//!   - **Shard-local subtree speculation**: a worker finishing
 //!     `explore(setup, path, candidate)` holds its session in exactly the
-//!     post-click state, so — within a budget granted by the fair queue —
-//!     it keeps walking into the candidates its own fresh capture
-//!     revealed, publishing each result keyed by the full exploration
-//!     input. The scheduler adopts a publication when its sequential DFS
-//!     pop matches the key exactly and discards everything else:
-//!     superseded duplicates, orphans, and the whole table of a lane the
-//!     probe-digest oracle quarantines.
+//!     post-click state, so — for up to `spec_walk` steps — it keeps
+//!     walking into the candidates its own fresh capture revealed,
+//!     publishing each result keyed by the full exploration input. The
+//!     lane adopts a publication when its sequential DFS pop matches the
+//!     key exactly and discards everything else: superseded duplicates,
+//!     orphans, and the whole table once the probe-digest oracle
+//!     quarantines the lane.
 //!     `RipStats::{spec_published, spec_adopted, spec_wasted}` (and the
 //!     `spec.depth`/`spec.adopt`/`spec.waste` tallies) account for every
 //!     publication.
@@ -122,17 +119,23 @@
 //! - **Sharded entries** run worker exploration under `catch_unwind`, so
 //!   an application that panics mid-click kills only the checked-out
 //!   fork — the scheduler quarantines the lane ([`RipStatus::Failed`],
-//!   partial graph and payload preserved). Worker forks additionally
-//!   digest their base after every restart; a digest that stops matching
-//!   the lane's seed base proves the app's reset drifted from its
-//!   attested pristine image, and the lane degrades to a cache-cleared
-//!   sequential re-rip ([`RipStatus::Degraded`]) instead of merging
-//!   untrustworthy bytes. Capture-pool lock poisoning is likewise
-//!   fail-soft: pooled entries are forfeited and rebuilt
-//!   (`RipStats::poison_recoveries` counts it), never served from a
-//!   suspect state.
+//!   partial graph and payload preserved). The lane's own caller-thread
+//!   steps (restart and seeding, context replay, the degraded re-rip)
+//!   are contained the same way, so a panic there also ends the entry
+//!   [`RipStatus::Failed`] instead of unwinding out of [`rip_fleet`].
+//!   Worker forks additionally digest their base after every restart; a
+//!   digest that stops matching the lane's seed base proves the app's
+//!   reset drifted from its attested pristine image, and the lane
+//!   degrades to a cache-cleared sequential re-rip
+//!   ([`RipStatus::Degraded`]) instead of merging untrustworthy bytes.
+//!   Capture-pool lock poisoning is likewise fail-soft: pooled entries
+//!   are forfeited and rebuilt (`RipStats::poison_recoveries` counts
+//!   it), never served from a suspect state.
 //!
 //! The fuzz harness ([`crate::fuzz`]) drives all of this adversarially.
+//!
+//! [`fairness`] is not part of the rip engine: its [`FairQueue`] is the
+//! serving gateway's admission policy.
 //!
 //! [`RipStats`]: crate::ripper::RipStats
 
@@ -162,28 +165,39 @@ mod tests {
     }
 
     /// The parallel engine must produce the same UNG bytes as the
-    /// sequential reference (PowerPoint exercises the context pass too).
+    /// sequential reference (PowerPoint exercises the context pass too),
+    /// with speculation on, with walks off (dispatch-only), and with no
+    /// speculative dispatch window beyond one task per worker.
     #[test]
     fn parallel_rip_matches_sequential_for_powerpoint() {
         let cfg = RipConfig::office("PowerPoint");
         let mut seq = Session::new(AppKind::PowerPoint.launch_small());
         let (g_seq, st_seq) = rip(&mut seq, &cfg);
-
-        let mut par = Session::new(AppKind::PowerPoint.launch_small());
-        let (g_par, st_par) = rip_parallel(&mut par, &cfg, &W2).expect("a healthy app rips");
-
-        assert_eq!(bytes(&g_par), bytes(&g_seq), "merged UNG must be byte-identical");
-        assert_eq!(g_par.node_count(), g_seq.node_count());
-        assert_eq!(g_par.edge_count(), g_seq.edge_count());
-        assert_eq!(st_par.windows_seen, st_seq.windows_seen, "commit-derived counter");
-        assert_eq!(st_par.blocklisted, st_seq.blocklisted, "commit-derived counter");
-        assert!(st_par.clicks >= st_seq.clicks, "speculation only adds effort");
-        assert_eq!(
-            st_par.spec_published,
-            st_par.spec_adopted + st_par.spec_wasted,
-            "every published speculation is either adopted or counted as waste"
-        );
         assert_eq!(st_seq.spec_published, 0, "the sequential engine never speculates");
+
+        for par_cfg in
+            [W2, ParRipConfig { spec_walk: 0, ..W2 }, ParRipConfig { speculation: 1, ..W2 }]
+        {
+            let mut par = Session::new(AppKind::PowerPoint.launch_small());
+            let (g_par, st_par) =
+                rip_parallel(&mut par, &cfg, &par_cfg).expect("a healthy app rips");
+
+            let at = format!("{par_cfg:?}");
+            assert_eq!(bytes(&g_par), bytes(&g_seq), "{at}: merged UNG must be byte-identical");
+            assert_eq!(g_par.node_count(), g_seq.node_count(), "{at}");
+            assert_eq!(g_par.edge_count(), g_seq.edge_count(), "{at}");
+            assert_eq!(st_par.windows_seen, st_seq.windows_seen, "{at}: commit-derived counter");
+            assert_eq!(st_par.blocklisted, st_seq.blocklisted, "{at}: commit-derived counter");
+            assert!(st_par.clicks >= st_seq.clicks, "{at}: speculation only adds effort");
+            assert_eq!(
+                st_par.spec_published,
+                st_par.spec_adopted + st_par.spec_wasted,
+                "{at}: every published speculation is either adopted or counted as waste"
+            );
+            if par_cfg.spec_walk == 0 {
+                assert_eq!(st_par.spec_published, 0, "{at}: walks off publish nothing");
+            }
+        }
     }
 
     /// Applications without a pristine fork fall back to the sequential
@@ -236,6 +250,13 @@ mod tests {
         let mut entries = vec![powerpoint(), unforkable()];
         let out = rip_fleet(&mut entries, &W2);
         assert_eq!(out.len(), 2);
+        for workers in [1, 2] {
+            let par = ParRipConfig { workers, ..W2 };
+            assert!(
+                rip_fleet(&mut [], &par).is_empty(),
+                "workers {workers}: no entries, no outcomes"
+            );
+        }
         for (o, (app, g, st)) in
             out.iter().zip([("PowerPoint", &g_seq, st_seq), ("Unforkable", &g_tiny, st_tiny)])
         {

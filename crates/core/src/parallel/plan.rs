@@ -27,9 +27,7 @@ pub struct ParRipConfig {
     /// many candidates a worker may keep exploring out of the subtree its
     /// own fresh capture revealed before returning to the queue,
     /// publishing each result for scheduler adoption. `0` disables
-    /// worker-side speculation (dispatch-only). The per-walk budget is
-    /// further shaped by the fair queue's cost-aware share
-    /// ([`crate::parallel::fairness::FairQueue::spec_budget`]).
+    /// worker-side speculation (dispatch-only).
     pub spec_walk: usize,
 }
 

@@ -2,15 +2,16 @@
 //! multi-entry fleets, one deterministic commit lane over a worker pool
 //! for a one-entry fleet, and the sequential rip on one commit path.
 //!
-//! A multi-entry fleet with two or more workers runs as app lanes
-//! ([`run_app_lanes`]): each lane thread takes whole entries and runs the
-//! sequential [`rip`] on them. Everything else goes to the sharded engine
-//! ([`run_sharded`]): [`FleetPlan`] holds one [`Frontier`] plus lane
-//! scheduler state and drives the commit loop on the caller's thread —
-//! the lane replays its app's exact sequential DFS (pop → visited-gate →
-//! commit, in pop order), while the expensive explorations behind those
-//! commits run on the worker pool ([`super::worker`]). The caller parks
-//! in `recv` only when the lane cannot progress.
+//! [`run_fleet`] picks the shape. With one worker every entry rips in
+//! place; a multi-entry fleet runs as app lanes ([`run_app_lanes`]): each
+//! lane thread takes whole entries and runs the sequential [`rip`] on
+//! them. A one-entry fleet goes to the sharded engine ([`run_sharded`]):
+//! a [`Lane`] holds one [`Frontier`] plus scheduler state and drives the
+//! commit loop on the caller's thread — it replays the app's exact
+//! sequential DFS (pop → visited-gate → commit, in pop order), while the
+//! expensive explorations behind those commits run on the worker pool
+//! ([`super::worker`]). The caller parks in `recv` only when the lane
+//! cannot progress.
 //!
 //! [`rip_parallel`] is the 1-entry fleet; the sequential [`rip`] is what
 //! an app lane runs and what an entry falls back to when it cannot fork.
@@ -21,14 +22,13 @@
 
 use super::plan::{ParRipConfig, ShardPlan};
 use super::spec::SpecTable;
-use super::worker::{
-    drain_pool, panic_payload, worker_loop, AppShared, FleetShared, Outcome, PooledUnit, Reply,
-    Task,
-};
+use super::worker::{panic_payload, worker_loop, Outcome, PooledUnit, Reply, Shared, Task};
 use crate::error::RipError;
 use crate::graph::Ung;
+#[cfg(doc)]
+use crate::ripper::rip;
 use crate::ripper::{
-    rip, rip_contained, snapshot_digest, Candidate, ExploreUnit, Frontier, RipConfig, RipStats,
+    rip_contained, snapshot_digest, Candidate, ExploreUnit, Frontier, RipConfig, RipStats,
     UnitState,
 };
 use dmi_gui::{CapturePool, CaptureStats, Session};
@@ -76,11 +76,12 @@ pub enum RipStatus {
     /// caller's session with cleared capture caches. The graph is the
     /// sequential reference result; the error records the fault.
     Degraded(RipError),
-    /// The rip panicked while serving this entry: on a worker shard of
-    /// the sharded engine, or in the entry's own sequential rip (an app
-    /// lane, or an in-place rip). The graph holds the partial merge
-    /// committed before the fault (every byte of it matches a prefix of
-    /// the sequential rip); sibling entries are unaffected.
+    /// The rip panicked while serving this entry: on a worker shard or
+    /// the commit lane's own session of the sharded engine, or in the
+    /// entry's own sequential rip (an app lane, an in-place rip, or a
+    /// degraded re-rip). The graph holds the partial merge committed
+    /// before the fault (every byte of it matches a prefix of the
+    /// sequential rip); sibling entries are unaffected.
     Failed(RipError),
 }
 
@@ -178,11 +179,11 @@ struct LaneSeed<'a> {
     config: &'a RipConfig,
 }
 
-/// Shuts the multi-queue down even if the scheduler unwinds (a re-raised
-/// worker panic, a poisoned expect): without this, surviving workers
-/// would block in the condvar wait forever. Idempotent with the explicit
-/// shutdown on the normal path.
-struct ShutdownOnDrop(Arc<FleetShared>);
+/// Shuts the worker queue down even if the scheduler unwinds (a failed
+/// expect): without this, surviving workers would block in the condvar
+/// wait forever. Idempotent with the explicit shutdown on the normal
+/// path.
+struct ShutdownOnDrop(Arc<Shared>);
 impl Drop for ShutdownOnDrop {
     fn drop(&mut self) {
         self.0.shutdown();
@@ -194,10 +195,13 @@ impl Drop for ShutdownOnDrop {
 /// thread.
 fn run_fleet(seeds: Vec<LaneSeed<'_>>, plan: &ShardPlan) -> Vec<RipOutcome> {
     let _fleet_span = dmi_obs::span(dmi_obs::Cat::Rip, "rip.fleet", seeds.len() as u64);
-    if plan.workers >= 2 && seeds.len() >= 2 {
+    if plan.workers <= 1 {
+        return seeds.into_iter().map(|seed| run_contained(seed, RipStatus::FellBack)).collect();
+    }
+    if seeds.len() >= 2 {
         return run_app_lanes(seeds, plan.workers);
     }
-    run_sharded(seeds, plan)
+    seeds.into_iter().map(|seed| run_sharded(seed, plan)).collect()
 }
 
 /// Runs a multi-entry fleet as app lanes: `min(workers, entries)` scoped
@@ -246,75 +250,50 @@ fn run_app_lanes(seeds: Vec<LaneSeed<'_>>, workers: usize) -> Vec<RipOutcome> {
     out.into_iter().map(|o| o.expect("every seed produced an outcome")).collect()
 }
 
-/// Runs the sharded engine: each forkable entry becomes a commit lane
-/// over one worker pool, and every other entry — all of them with
-/// `workers <= 1` — rips sequentially in place first. Only one-entry
-/// fleets reach this with `workers >= 2`.
-fn run_sharded(seeds: Vec<LaneSeed<'_>>, plan: &ShardPlan) -> Vec<RipOutcome> {
-    let n = seeds.len();
-    let mut out: Vec<Option<RipOutcome>> = (0..n).map(|_| None).collect();
-    let mut lane_seeds: Vec<(usize, LaneSeed<'_>)> = Vec::new();
-    let mut app_shared: Vec<AppShared> = Vec::new();
-
-    for (idx, seed) in seeds.into_iter().enumerate() {
-        if plan.workers <= 1 || seed.config.max_clicks.is_some() {
-            out[idx] = Some(run_contained(seed, RipStatus::FellBack));
-            continue;
-        }
-        // Shared capture pool first: the forks below inherit it, so every
-        // shard of this app (the caller's lane session included) serves
-        // snapshot hits from one structure.
-        seed.session.set_capture_pool(Some(CapturePool::shared()));
-        let mut units = Vec::with_capacity(plan.workers);
-        for _ in 0..plan.workers {
-            match seed.session.fork_from_pristine() {
-                Some(s) => units.push(PooledUnit { session: s, state: UnitState::probing() }),
-                None => break,
-            }
-        }
-        if units.len() < plan.workers {
-            seed.session.set_capture_pool(None);
-            out[idx] = Some(run_contained(seed, RipStatus::FellBack));
-            continue;
-        }
-        app_shared.push(AppShared { config: Arc::new(seed.config.clone()), units: units.into() });
-        lane_seeds.push((idx, seed));
+/// Runs the sharded engine on one entry: a commit lane on the caller's
+/// thread over `plan.workers` forked worker sessions. An entry that cannot
+/// shard (the app cannot fork, or `max_clicks` is set) rips sequentially
+/// in place instead.
+fn run_sharded(seed: LaneSeed<'_>, plan: &ShardPlan) -> RipOutcome {
+    if seed.config.max_clicks.is_some() {
+        return run_contained(seed, RipStatus::FellBack);
     }
-
-    if !lane_seeds.is_empty() {
-        let shared = FleetShared::new(app_shared, plan.spec_walk);
-        let (tx, rx) = channel();
-        let handles: Vec<thread::JoinHandle<()>> = (0..plan.workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let tx = tx.clone();
-                thread::spawn(move || worker_loop(shared, tx))
-            })
-            .collect();
-        drop(tx); // Workers hold the only senders now.
-        let _shutdown_guard = ShutdownOnDrop(Arc::clone(&shared));
-
-        let lanes: Vec<Lane<'_>> = lane_seeds
-            .into_iter()
-            .enumerate()
-            .map(|(app, (idx, seed))| Lane::start(app, idx, seed, &shared))
-            .collect();
-        let dirty = vec![true; lanes.len()];
-        let mut fleet = FleetPlan { lanes, dirty, shared: Arc::clone(&shared), rx, plan: *plan };
-        fleet.run();
-
-        shared.shutdown();
-        for h in handles {
-            h.join().expect("worker thread must shut down cleanly");
-        }
-        fleet.absorb_stragglers();
-        for lane in fleet.lanes {
-            let (idx, outcome) = lane.finish(&shared);
-            out[idx] = Some(outcome);
+    // Shared capture pool first: the forks below inherit it, so every
+    // shard of the app (the caller's lane session included) serves
+    // snapshot hits from one structure.
+    seed.session.set_capture_pool(Some(CapturePool::shared()));
+    let mut units = Vec::with_capacity(plan.workers);
+    for _ in 0..plan.workers {
+        match seed.session.fork_from_pristine() {
+            Some(s) => units.push(PooledUnit { session: s, state: UnitState::probing() }),
+            None => break,
         }
     }
+    if units.len() < plan.workers {
+        seed.session.set_capture_pool(None);
+        return run_contained(seed, RipStatus::FellBack);
+    }
 
-    out.into_iter().map(|o| o.expect("every seed produced an outcome")).collect()
+    let shared = Shared::new(seed.config.clone(), units, plan.spec_walk);
+    let (tx, rx) = channel();
+    let handles: Vec<thread::JoinHandle<()>> = (0..plan.workers)
+        .map(|_| {
+            let shared = Arc::clone(&shared);
+            let tx = tx.clone();
+            thread::spawn(move || worker_loop(shared, tx))
+        })
+        .collect();
+    drop(tx); // Workers hold the only senders now.
+    let _shutdown_guard = ShutdownOnDrop(Arc::clone(&shared));
+
+    let mut lane = Lane::start(seed, Arc::clone(&shared), rx, plan.max_in_flight);
+    lane.run();
+    shared.shutdown();
+    for h in handles {
+        h.join().expect("worker thread must shut down cleanly");
+    }
+    lane.absorb_stragglers();
+    lane.finish()
 }
 
 /// Runs one entry on the sequential engine with the panic contained: a
@@ -332,175 +311,24 @@ fn run_contained(seed: LaneSeed<'_>, status: RipStatus) -> RipOutcome {
     RipOutcome { app_id: seed.app_id, graph, stats, status }
 }
 
-/// The fleet execution state: one commit lane (frontier + scheduler
-/// state) per app, multiplexed on the caller's thread.
-struct FleetPlan<'a> {
-    lanes: Vec<Lane<'a>>,
-    /// Lanes with newly delivered results since their last pump: a lane
-    /// blocked on an outcome can only move when a message for it arrives,
-    /// so only dirty lanes are pumped — O(1) routed messages per reply
-    /// instead of O(lanes) pump/lock traffic on the commit thread.
-    dirty: Vec<bool>,
-    shared: Arc<FleetShared>,
-    rx: Receiver<(usize, u64, Reply)>,
-    plan: ShardPlan,
-}
-
-impl FleetPlan<'_> {
-    /// The fleet main loop: pump every lane with fresh results as far as
-    /// its delivered outcomes allow, keep the speculative window full,
-    /// and block on the result channel only when no lane can move.
-    fn run(&mut self) {
-        loop {
-            let mut progressed = false;
-            for i in 0..self.lanes.len() {
-                if self.dirty[i] {
-                    self.dirty[i] = false;
-                    progressed |= self.lanes[i].pump(&self.shared);
-                }
-            }
-            self.top_up();
-            if self.lanes.iter().all(|l| l.done) {
-                break;
-            }
-            if !progressed {
-                let park = dmi_obs::span(dmi_obs::Cat::Scheduler, "scheduler.park", 0);
-                let msg = self.rx.recv().expect("a live worker holds a dispatched task");
-                drop(park);
-                self.route(msg);
-            }
-            // Drain everything already delivered without blocking.
-            while let Ok(msg) = self.rx.try_recv() {
-                self.route(msg);
-            }
-        }
-    }
-
-    /// Routes one worker reply to its lane and marks the lane for
-    /// pumping. Faults are contained here, never re-raised: a worker
-    /// panic quarantines exactly the frontier it was serving, an
-    /// `Unserved` hand-back is queued for urgent re-dispatch, and a
-    /// quarantined lane silently swallows its stragglers.
-    ///
-    /// The restart-divergence oracle runs here, on every reply that
-    /// carries probe evidence — before the outcome is even filed. A
-    /// drifted fork usually *fails* its exploration (the control it was
-    /// dispatched to click got renamed under it), so gating the digest
-    /// check on a successful outcome would discard exactly the replies
-    /// most likely to prove the fault.
-    fn route(&mut self, (app, seq, reply): (usize, u64, Reply)) {
-        let lane = &mut self.lanes[app];
-        match reply {
-            Reply::Done { outcome, base_digest } => {
-                lane.in_flight -= 1;
-                if lane.failed.is_some() {
-                    return; // Quarantined: late results are dropped.
-                }
-                if lane.digest_diverged(base_digest, &self.shared) {
-                    self.dirty[app] = true;
-                    return;
-                }
-                if !lane.discarded.remove(&seq) {
-                    lane.pending.insert(seq, outcome);
-                }
-            }
-            Reply::Panicked(payload) => {
-                lane.in_flight -= 1;
-                let err = RipError::WorkerPanic { app_id: lane.app_id.clone(), payload };
-                lane.quarantine(err, &self.shared);
-            }
-            Reply::Unserved => {
-                lane.in_flight -= 1;
-                if lane.failed.is_some() {
-                    return;
-                }
-                if !lane.discarded.remove(&seq) {
-                    lane.unserved.insert(seq);
-                }
-            }
-            // Speculative publications answer no dispatched task: no
-            // in-flight bookkeeping, but the probe-digest oracle applies
-            // unchanged — a drifted lane's speculations die with it, and
-            // a lane that already finished (or failed) wastes them.
-            Reply::Spec { key, outcome, base_digest } => {
-                if lane.failed.is_some() || lane.done {
-                    lane.note_spec_waste(1);
-                    return;
-                }
-                if lane.digest_diverged(base_digest, &self.shared) {
-                    // The publication that exposed the drift is waste too
-                    // (quarantine already counted the table it cleared).
-                    lane.note_spec_waste(1);
-                    self.dirty[app] = true;
-                    return;
-                }
-                if !lane.spec.publish(key, outcome) {
-                    // Superseded: an earlier walk already published this
-                    // key (identical bytes on a deterministic app).
-                    lane.note_spec_waste(1);
-                }
-            }
-            Reply::SpecPanicked(payload) => {
-                let err = RipError::WorkerPanic { app_id: lane.app_id.clone(), payload };
-                lane.quarantine(err, &self.shared);
-            }
-        }
-        self.dirty[app] = true;
-    }
-
-    /// After worker shutdown: speculative publications still sitting in
-    /// the channel can never be adopted — count them toward their lanes'
-    /// waste so every published speculation is accounted for. Every
-    /// other straggler keeps its old fate (silently dropped).
-    fn absorb_stragglers(&mut self) {
-        while let Ok((app, _seq, reply)) = self.rx.try_recv() {
-            if let Reply::Spec { .. } = reply {
-                self.lanes[app].note_spec_waste(1);
-            }
-        }
-    }
-
-    /// Fills the global speculative window, one task per lane per round
-    /// (deterministic round-robin), so no single deep frontier hogs the
-    /// whole budget.
-    fn top_up(&mut self) {
-        let in_flight: usize = self.lanes.iter().map(|l| l.in_flight).sum();
-        let Some(mut budget) = self.plan.max_in_flight.checked_sub(in_flight) else { return };
-        while budget > 0 {
-            let mut any = false;
-            for lane in &mut self.lanes {
-                if budget == 0 {
-                    break;
-                }
-                if lane.dispatch_one_speculative(&self.shared) {
-                    budget -= 1;
-                    any = true;
-                }
-            }
-            if !any {
-                return;
-            }
-        }
-    }
-}
-
-/// The commit-side half of one app's rip: the frontier, the caller-thread
+/// The sharded engine's commit lane: the frontier, the caller-thread
 /// exploration unit (used for pass seeding, exactly like the sequential
-/// explorer's), and the speculation bookkeeping.
+/// explorer's), the speculation bookkeeping, and the worker pool's queue
+/// and result channel.
 struct Lane<'a> {
-    /// Fleet app index (sub-queue / session-pool index).
-    app: usize,
-    /// Position in the caller's entry slice.
-    entry_idx: usize,
     app_id: String,
     unit: ExploreUnit<'a>,
     frontier: Frontier,
+    shared: Arc<Shared>,
+    rx: Receiver<(u64, Reply)>,
+    /// Cap on dispatched, uncommitted tasks ([`ShardPlan::max_in_flight`]).
+    max_in_flight: usize,
     /// Results that arrived before their candidate was popped.
     pending: HashMap<u64, Option<Outcome>>,
     /// Dispatched entries whose candidate was popped as already-visited:
     /// their results are dropped on arrival.
     discarded: HashSet<u64>,
-    /// Dispatched entries handed back unserved (the app's unit pool was
+    /// Dispatched entries handed back unserved (the unit pool was
     /// momentarily empty): re-dispatched urgently when popped.
     unserved: HashSet<u64>,
     /// Dispatched tasks whose results have not arrived yet.
@@ -518,9 +346,9 @@ struct Lane<'a> {
     /// (urgently dispatched at pop) rather than one already dispatched
     /// speculatively — the stall-attribution tag.
     waiting_revealed: bool,
-    /// Tag and wall-clock start of the stall in progress on this lane
-    /// (`None` when not blocked or tracing is off). Observation only:
-    /// never read by any scheduling decision.
+    /// Tag and wall-clock start of the stall in progress (`None` when not
+    /// blocked or tracing is off). Observation only: never read by any
+    /// scheduling decision.
     stall: Option<(&'static str, u64)>,
     done: bool,
     /// The fault that quarantined this lane, if any ([`Lane::quarantine`]).
@@ -528,23 +356,26 @@ struct Lane<'a> {
     /// Digest of this lane's own seed base ([`snapshot_digest`]): the
     /// reference every worker-side post-restart digest must match.
     base_digest: u64,
-    /// Last fairness weight reported to the shared queue (skip the queue
-    /// lock when unchanged).
-    last_weight: u64,
     /// Caller-session capture counters at lane start (for pool deltas).
     cs0: CaptureStats,
 }
 
 impl<'a> Lane<'a> {
-    /// Seeds the base pass and reports the initial fairness weight.
-    fn start(app: usize, entry_idx: usize, seed: LaneSeed<'a>, shared: &FleetShared) -> Lane<'a> {
+    /// Seeds the base pass.
+    fn start(
+        seed: LaneSeed<'a>,
+        shared: Arc<Shared>,
+        rx: Receiver<(u64, Reply)>,
+        max_in_flight: usize,
+    ) -> Lane<'a> {
         let cs0 = seed.session.capture_stats();
         let mut lane = Lane {
-            app,
-            entry_idx,
             app_id: seed.app_id,
             unit: ExploreUnit::new(seed.session, seed.config),
             frontier: Frontier::new(),
+            shared,
+            rx,
+            max_in_flight,
             pending: HashMap::new(),
             discarded: HashSet::new(),
             unserved: HashSet::new(),
@@ -558,25 +389,134 @@ impl<'a> Lane<'a> {
             done: false,
             failed: None,
             base_digest: 0,
-            last_weight: 0,
             cs0,
         };
-        lane.unit.restart();
-        let snap = lane.unit.snapshot();
-        lane.base_digest = snapshot_digest(&snap);
-        lane.frontier.seed(&snap, &[], lane.unit.config(), &mut lane.unit.stats);
-        lane.report_weight(shared);
+        lane.contained(|lane| {
+            lane.unit.restart();
+            let snap = lane.unit.snapshot();
+            lane.base_digest = snapshot_digest(&snap);
+            lane.frontier.seed(&snap, &[], lane.unit.config(), &mut lane.unit.stats);
+        });
         lane
+    }
+
+    /// The lane's main loop: pump as far as delivered outcomes allow, keep
+    /// the speculative window full, and block on the result channel only
+    /// when the lane cannot move.
+    fn run(&mut self) {
+        loop {
+            let progressed = self.pump();
+            self.top_up();
+            if self.done {
+                break;
+            }
+            if !progressed {
+                let park = dmi_obs::span(dmi_obs::Cat::Scheduler, "scheduler.park", 0);
+                let msg = self.rx.recv().expect("a live worker holds a dispatched task");
+                drop(park);
+                self.route(msg);
+            }
+            // Drain everything already delivered without blocking.
+            while let Ok(msg) = self.rx.try_recv() {
+                self.route(msg);
+            }
+        }
+    }
+
+    /// Files one worker reply. Faults are contained here, never
+    /// re-raised: a worker panic quarantines the lane, an `Unserved`
+    /// hand-back is queued for urgent re-dispatch, and a quarantined lane
+    /// silently swallows its stragglers.
+    ///
+    /// The restart-divergence oracle runs here, on every reply that
+    /// carries probe evidence — before the outcome is even filed. A
+    /// drifted fork usually *fails* its exploration (the control it was
+    /// dispatched to click got renamed under it), so gating the digest
+    /// check on a successful outcome would discard exactly the replies
+    /// most likely to prove the fault.
+    fn route(&mut self, (seq, reply): (u64, Reply)) {
+        match reply {
+            Reply::Done { outcome, base_digest } => {
+                self.in_flight -= 1;
+                if self.failed.is_some() || self.digest_diverged(base_digest) {
+                    return; // Quarantined: late results are dropped.
+                }
+                if !self.discarded.remove(&seq) {
+                    self.pending.insert(seq, outcome);
+                }
+            }
+            Reply::Panicked(payload) => {
+                self.in_flight -= 1;
+                self.quarantine(RipError::WorkerPanic { app_id: self.app_id.clone(), payload });
+            }
+            Reply::Unserved => {
+                self.in_flight -= 1;
+                if self.failed.is_none() && !self.discarded.remove(&seq) {
+                    self.unserved.insert(seq);
+                }
+            }
+            // Speculative publications answer no dispatched task: no
+            // in-flight bookkeeping, but the probe-digest oracle applies
+            // unchanged — a drifted lane's speculations die with it, and
+            // a lane that already finished (or failed) wastes them. The
+            // publication that exposed a drift is waste too (quarantine
+            // already counted the table it cleared), and so is one
+            // superseded by an earlier walk's publication of the same key
+            // (identical bytes on a deterministic app).
+            Reply::Spec { key, outcome, base_digest } => {
+                if self.done
+                    || self.digest_diverged(base_digest)
+                    || !self.spec.publish(key, outcome)
+                {
+                    self.note_spec_waste(1);
+                }
+            }
+            Reply::SpecPanicked(payload) => {
+                self.quarantine(RipError::WorkerPanic { app_id: self.app_id.clone(), payload });
+            }
+        }
+    }
+
+    /// After worker shutdown: speculative publications still sitting in
+    /// the channel can never be adopted — count them toward the lane's
+    /// waste so every published speculation is accounted for. Every
+    /// other straggler keeps its old fate (silently dropped).
+    fn absorb_stragglers(&mut self) {
+        while let Ok((_seq, reply)) = self.rx.try_recv() {
+            if let Reply::Spec { .. } = reply {
+                self.note_spec_waste(1);
+            }
+        }
+    }
+
+    /// Fills the speculative dispatch window.
+    fn top_up(&mut self) {
+        while self.in_flight < self.max_in_flight && self.dispatch_one_speculative() {}
+    }
+
+    /// Runs one caller-thread step (restart, replay, capture) under
+    /// `catch_unwind`: an application that panics on the commit thread
+    /// quarantines the lane exactly like a worker panic, keeping the
+    /// partial graph committed so far. `None` when the step unwound.
+    fn contained<R>(&mut self, step: impl FnOnce(&mut Self) -> R) -> Option<R> {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step(self))) {
+            Ok(r) => Some(r),
+            Err(p) => {
+                let payload = panic_payload(p.as_ref());
+                self.quarantine(RipError::WorkerPanic { app_id: self.app_id.clone(), payload });
+                None
+            }
+        }
     }
 
     /// Quarantines the lane after a detected fault: records the error,
     /// stops the commit loop, drops all speculation bookkeeping, and
-    /// purges the lane's queued tasks (deducting them from the in-flight
-    /// count — purged tasks never reply). Sibling lanes are untouched;
-    /// stragglers still in worker hands are swallowed by `route`.
-    fn quarantine(&mut self, err: RipError, shared: &FleetShared) {
+    /// cancels the queued tasks (deducting them from the in-flight count
+    /// — cancelled tasks never reply). Stragglers still in worker hands
+    /// are swallowed by `route`.
+    fn quarantine(&mut self, err: RipError) {
         self.end_stall();
-        dmi_obs::instant(dmi_obs::Cat::Scheduler, "quarantine", self.app as u64);
+        dmi_obs::instant(dmi_obs::Cat::Scheduler, "quarantine", 0);
         self.failed = Some(err);
         self.done = true;
         self.waiting = None;
@@ -586,15 +526,14 @@ impl<'a> Lane<'a> {
         // The lane's speculations die with it: none of them may merge.
         let dead = self.spec.clear();
         self.note_spec_waste(dead);
-        self.in_flight -= shared.purge_app(self.app);
-        self.last_weight = 0;
+        self.in_flight -= self.shared.cancel_queued();
     }
 
     /// The restart-divergence oracle shared by dispatched and speculative
     /// replies: compares carried probe evidence against the lane's seed
     /// digest and quarantines on mismatch. Returns whether the lane was
     /// quarantined.
-    fn digest_diverged(&mut self, base_digest: Option<u64>, shared: &FleetShared) -> bool {
+    fn digest_diverged(&mut self, base_digest: Option<u64>) -> bool {
         let Some(d) = base_digest else { return false };
         if d == self.base_digest {
             return false;
@@ -604,8 +543,7 @@ impl<'a> Lane<'a> {
              reset does not restore its attested pristine image)",
             self.base_digest
         );
-        let err = RipError::Divergence { app_id: self.app_id.clone(), detail };
-        self.quarantine(err, shared);
+        self.quarantine(RipError::Divergence { app_id: self.app_id.clone(), detail });
         true
     }
 
@@ -615,7 +553,7 @@ impl<'a> Lane<'a> {
     fn note_adopted(&mut self) {
         self.unit.stats.spec_adopted += 1;
         dmi_obs::tally("spec.adopt", 1);
-        dmi_obs::instant(dmi_obs::Cat::Scheduler, "spec.adopt", self.app as u64);
+        dmi_obs::instant(dmi_obs::Cat::Scheduler, "spec.adopt", 0);
     }
 
     /// Counts `n` discarded speculations (superseded, orphaned, or
@@ -627,7 +565,7 @@ impl<'a> Lane<'a> {
         self.unit.stats.spec_wasted += n as u64;
         dmi_obs::tally("spec.waste", n as u64);
         for _ in 0..n {
-            dmi_obs::instant(dmi_obs::Cat::Scheduler, "spec.waste", self.app as u64);
+            dmi_obs::instant(dmi_obs::Cat::Scheduler, "spec.waste", 0);
         }
     }
 
@@ -636,7 +574,7 @@ impl<'a> Lane<'a> {
     /// stack drains, and stops at the first candidate still in flight
     /// (dispatching it urgently if no worker has it yet). Returns whether
     /// anything moved.
-    fn pump(&mut self, shared: &FleetShared) -> bool {
+    fn pump(&mut self) -> bool {
         if self.done {
             return false;
         }
@@ -664,9 +602,9 @@ impl<'a> Lane<'a> {
                     continue;
                 }
                 if self.unserved.remove(&c.seq) {
-                    // The task came back unserved (a dying sibling took
+                    // The task came back unserved (a dying worker took
                     // the unit it needed); re-dispatch it urgently.
-                    shared.push_front(self.task_for(&c));
+                    self.shared.push_front(self.task_for(&c));
                     self.in_flight += 1;
                 }
                 self.waiting = Some(c);
@@ -699,8 +637,8 @@ impl<'a> Lane<'a> {
                     continue;
                 }
                 // The lane blocks on this candidate: dispatch it at the
-                // head of its sub-queue.
-                shared.push_front(self.task_for(&c));
+                // head of the queue.
+                self.shared.push_front(self.task_for(&c));
                 self.in_flight += 1;
                 self.waiting_revealed = true;
             } else {
@@ -708,7 +646,6 @@ impl<'a> Lane<'a> {
             }
             self.waiting = Some(c);
         }
-        self.report_weight(shared);
         progressed
     }
 
@@ -727,24 +664,7 @@ impl<'a> Lane<'a> {
     /// the lane was quarantined), emitting it as a scheduler span.
     fn end_stall(&mut self) {
         if let Some((name, start)) = self.stall.take() {
-            dmi_obs::complete_span(
-                dmi_obs::Cat::Scheduler,
-                name,
-                self.app as u64,
-                start,
-                dmi_obs::now_us(),
-            );
-        }
-    }
-
-    /// Reports the lane's remaining stack depth — the count half of its
-    /// cost-aware fairness weight (workers feed the latency half) —
-    /// taking the queue lock only when the value actually changed.
-    fn report_weight(&mut self, shared: &FleetShared) {
-        let depth = self.frontier.stack.len() as u64;
-        if depth != self.last_weight {
-            shared.set_depth(self.app, depth);
-            self.last_weight = depth;
+            dmi_obs::complete_span(dmi_obs::Cat::Scheduler, name, 0, start, dmi_obs::now_us());
         }
     }
 
@@ -770,23 +690,27 @@ impl<'a> Lane<'a> {
     }
 
     /// Seeds the next context pass whose setup replays successfully;
-    /// false when every pass has run.
+    /// false when every pass has run, or when a replay panicked (the lane
+    /// is then quarantined).
     fn advance_pass(&mut self) -> bool {
-        while self.next_context < self.unit.config().contexts.len() {
-            let ctx = &self.unit.config().contexts[self.next_context];
-            self.next_context += 1;
-            if !self.unit.replay(&ctx.clicks, &[]) {
-                continue;
+        self.contained(|lane| {
+            while lane.next_context < lane.unit.config().contexts.len() {
+                let ctx = &lane.unit.config().contexts[lane.next_context];
+                lane.next_context += 1;
+                if !lane.unit.replay(&ctx.clicks, &[]) {
+                    continue;
+                }
+                let snap = lane.unit.snapshot();
+                // Attach context-revealed controls under the virtual
+                // root, then explore within the context (same as the
+                // sequential pass).
+                lane.frontier.seed(&snap, &[], lane.unit.config(), &mut lane.unit.stats);
+                lane.setup = Arc::from(ctx.clicks.clone());
+                return true;
             }
-            let snap = self.unit.snapshot();
-            // Attach context-revealed controls under the virtual root,
-            // then explore within the context (same as the sequential
-            // pass).
-            self.frontier.seed(&snap, &[], self.unit.config(), &mut self.unit.stats);
-            self.setup = Arc::from(ctx.clicks.clone());
-            return true;
-        }
-        false
+            false
+        })
+        .unwrap_or(false)
     }
 
     /// Marks a dispatched-but-skipped entry so its result is dropped.
@@ -801,7 +725,7 @@ impl<'a> Lane<'a> {
     /// key already has a published speculation are skipped — their
     /// answer is sitting in the table, so dispatching them would only
     /// compute the same bytes twice.
-    fn dispatch_one_speculative(&mut self, shared: &FleetShared) -> bool {
+    fn dispatch_one_speculative(&mut self) -> bool {
         if self.done {
             return false;
         }
@@ -822,14 +746,13 @@ impl<'a> Lane<'a> {
         };
         self.frontier.stack[i].dispatched = true;
         let c = self.frontier.stack[i].clone();
-        shared.push_back(self.task_for(&c));
+        self.shared.push_back(self.task_for(&c));
         self.in_flight += 1;
         true
     }
 
     fn task_for(&self, c: &Candidate) -> Task {
         Task {
-            app: self.app,
             seq: c.seq,
             setup: Arc::clone(&self.setup),
             cid: c.cid.clone(),
@@ -845,16 +768,18 @@ impl<'a> Lane<'a> {
     /// discarded and the entry re-rips on the sequential reference
     /// engine, using the caller's session with every capture cache
     /// cleared (the caches were built while trusting a reset the oracle
-    /// just disproved). A panic-quarantined lane keeps its partial graph
-    /// — each committed byte matches a prefix of the sequential rip —
-    /// and reports [`RipStatus::Failed`].
-    fn finish(mut self, shared: &FleetShared) -> (usize, RipOutcome) {
+    /// just disproved). The re-rip is contained like any in-place rip: a
+    /// panic in it ends the entry [`RipStatus::Failed`]. A
+    /// panic-quarantined lane keeps its partial graph — each committed
+    /// byte matches a prefix of the sequential rip — and reports
+    /// [`RipStatus::Failed`].
+    fn finish(mut self) -> RipOutcome {
         // Speculations never popped (visited dedup, pass end) are waste.
         let orphaned = self.spec.clear();
         self.note_spec_waste(orphaned);
-        let Lane { app, entry_idx, app_id, mut unit, frontier, cs0, failed, .. } = self;
+        let Lane { app_id, mut unit, frontier, shared, cs0, failed, .. } = self;
         let mut stats = unit.stats;
-        drain_pool(&shared.apps[app], &mut stats);
+        shared.drain_units(&mut stats);
         stats.fold_pool_delta(cs0, unit.session().capture_stats());
         unit.session_mut().set_capture_pool(None);
         let status = match failed {
@@ -863,13 +788,13 @@ impl<'a> Lane<'a> {
                 let config = unit.config();
                 let session = unit.into_session();
                 session.set_capture_config(session.capture_config());
-                let (graph, seq_stats) = rip(session, config);
-                stats.absorb(&seq_stats);
-                let outcome = RipOutcome { app_id, graph, stats, status: RipStatus::Degraded(err) };
-                return (entry_idx, outcome);
+                let seed = LaneSeed { app_id, session, config };
+                let mut outcome = run_contained(seed, RipStatus::Degraded(err));
+                outcome.stats.absorb(&stats);
+                return outcome;
             }
             Some(err) => RipStatus::Failed(err),
         };
-        (entry_idx, RipOutcome { app_id, graph: frontier.g, stats, status })
+        RipOutcome { app_id, graph: frontier.g, stats, status }
     }
 }

@@ -30,10 +30,10 @@
 //! candidate)` on a deterministic application: `establish` either reaches
 //! the provably launch-equivalent base (Esc recovery) or restarts and
 //! replays, so the resulting snapshots never depend on what was explored
-//! before. The machinery is therefore factored into an [`ExploreUnit`]
-//! (one session plus the recovery-planner state) and a [`Frontier`] (the
+//! before. The machinery is therefore factored into an `ExploreUnit`
+//! (one session plus the recovery-planner state) and a `Frontier` (the
 //! UNG under construction, the visited set, and the DFS stack), connected
-//! by the pure [`diff_fresh`] differential. The sequential ripper composes
+//! by the pure `diff_fresh` differential. The sequential ripper composes
 //! them in a loop; [`crate::parallel`] runs many `ExploreUnit`s on worker
 //! threads against one `Frontier` — producing byte-identical UNGs.
 

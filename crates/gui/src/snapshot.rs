@@ -463,7 +463,7 @@ pub struct PooledCapture {
 
 impl CapturePool {
     /// A pool retaining up to `capacity` captures (frequency × cost
-    /// retention, see [`PoolEntry::retention_score`]).
+    /// retention, see `PoolEntry::retention_score`).
     pub fn new(capacity: usize) -> CapturePool {
         CapturePool { capacity: capacity.max(1), entries: Mutex::new(Vec::new()) }
     }

@@ -379,11 +379,47 @@ fn fault_injected_fleet_is_contained_per_entry() {
 /// in its entry: `Failed(WorkerPanic)` with the payload and the partial
 /// graph committed before the panic, while both siblings stay
 /// byte-identical to their sequential rips.
+///
+/// The same holds for a one-entry fleet whose panic fires on the commit
+/// lane's own session rather than on a worker fork: the context pass's
+/// setup replay clicks a menu command, and that replay runs on the
+/// caller's thread. The entry ends `Failed(WorkerPanic)` with the base
+/// pass's graph, and `rip_parallel` returns the error.
 #[test]
 fn unforked_panic_is_contained_per_entry() {
     use dmi_apps::testkit::PanickyApp;
+    use dmi_core::ContextSetup;
+    use dmi_uia::ControlType;
 
     silence_injected_panics();
+    let replay_panics = RipConfig {
+        candidate_types: vec![ControlType::SplitButton],
+        contexts: vec![ContextSetup {
+            name: "item selected".into(),
+            clicks: vec!["Menu".into(), "Item 0".into()],
+        }],
+        ..RipConfig::default()
+    };
+    let crashing_lane = || Session::new(Box::new(PanickyApp::everywhere(3, 1)));
+    for workers in [2, 1] {
+        let par = ParRipConfig { workers, speculation: 2, spec_walk: 4 };
+        let mut solo = [FleetEntry::new("crashing", crashing_lane(), replay_panics.clone())];
+        let out = rip_fleet(&mut solo, &par);
+        assert_eq!(out.len(), 1, "workers {workers}: one outcome");
+        assert_worker_panic(&out[0], "crashing");
+        assert!(
+            out[0].graph.node_count() > 1,
+            "workers {workers}: the base pass committed before the replay panic is kept"
+        );
+        match rip_parallel(&mut crashing_lane(), &replay_panics, &par) {
+            Err(RipError::WorkerPanic { payload, .. }) => {
+                assert!(payload.contains("injected fault"), "payload preserved, got: {payload}");
+            }
+            Err(other) => panic!("workers {workers}: expected WorkerPanic, got {other:?}"),
+            Ok(_) => panic!("workers {workers}: a panicking lane must not yield a graph"),
+        }
+    }
+
     let healthy_a = AppSpec::generate(808, 14);
     let healthy_b = AppSpec::generate(909, 14);
     for workers in [2, 1] {
